@@ -112,6 +112,58 @@ void BM_MatmulNTBf16_Logits(benchmark::State& state) {
 }
 BENCHMARK(BM_MatmulNTBf16_Logits)->Unit(benchmark::kMillisecond)->Iterations(3)->UseRealTime();
 
+// The two backward products of one output-layer vocabulary shard (s=32
+// tokens, hidden 128, 2048 vocabulary rows: V=8192 over p=4) and of the
+// transformer MLP at the same hidden size. grad_x = D @ W streams the shard
+// weight; grad_W = D^T @ X writes a weight-sized result. These are the
+// shapes the pipeline's device threads run, one thread each.
+constexpr std::int64_t kTokens = 32;
+constexpr std::int64_t kHidden = 128;
+constexpr std::int64_t kShardRows = 2048;
+
+void bench_backward_product(benchmark::State& state, const Tensor& a, const Tensor& b,
+                            Tensor (*product)(const Tensor&, const Tensor&),
+                            std::int64_t flops, const std::string& label) {
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(product(a, b));
+  }
+  state.SetItemsProcessed(state.iterations() * flops);
+  state.SetLabel(label);
+}
+
+void BM_Matmul_OutputGradX(benchmark::State& state) {
+  Rng rng(7);
+  const Tensor d = Tensor::randn({kTokens, kShardRows}, rng);
+  const Tensor w = Tensor::randn({kShardRows, kHidden}, rng, 0.2f);
+  bench_backward_product(state, d, w, matmul, 2 * kTokens * kShardRows * kHidden,
+                         dims(kTokens, kShardRows) + "x" + dims(kShardRows, kHidden));
+}
+void BM_MatmulTN_OutputGradW(benchmark::State& state) {
+  Rng rng(8);
+  const Tensor d = Tensor::randn({kTokens, kShardRows}, rng);
+  const Tensor x = Tensor::randn({kTokens, kHidden}, rng);
+  bench_backward_product(state, d, x, matmul_tn, 2 * kTokens * kShardRows * kHidden,
+                         dims(kTokens, kShardRows) + "^Tx" + dims(kTokens, kHidden));
+}
+void BM_Matmul_MlpUp(benchmark::State& state) {
+  Rng rng(9);
+  const Tensor x = Tensor::randn({kTokens, kHidden}, rng);
+  const Tensor w = Tensor::randn({kHidden, 4 * kHidden}, rng, 0.2f);
+  bench_backward_product(state, x, w, matmul, 2 * kTokens * kHidden * 4 * kHidden,
+                         dims(kTokens, kHidden) + "x" + dims(kHidden, 4 * kHidden));
+}
+void BM_MatmulTN_MlpUpGradW(benchmark::State& state) {
+  Rng rng(10);
+  const Tensor x = Tensor::randn({kTokens, kHidden}, rng);
+  const Tensor g = Tensor::randn({kTokens, 4 * kHidden}, rng);
+  bench_backward_product(state, x, g, matmul_tn, 2 * kTokens * kHidden * 4 * kHidden,
+                         dims(kTokens, kHidden) + "^Tx" + dims(kTokens, 4 * kHidden));
+}
+BENCHMARK(BM_Matmul_OutputGradX)->UseRealTime();
+BENCHMARK(BM_MatmulTN_OutputGradW)->UseRealTime();
+BENCHMARK(BM_Matmul_MlpUp)->UseRealTime();
+BENCHMARK(BM_MatmulTN_MlpUpGradW)->UseRealTime();
+
 // Softmax is memory-bound, so its throughput is reported as bytes moved
 // (read the logits, write the probabilities) rather than FLOPs.
 void BM_SafeSoftmax(benchmark::State& state) {

@@ -19,6 +19,7 @@
 #include <cstring>
 #include <limits>
 
+#include "tensor/gemm_tile.h"
 #include "tensor/simd_tables.h"
 
 namespace vocab::simd::detail {
@@ -227,157 +228,25 @@ void mm_nt_bf16(const float* a, const std::uint16_t* b, float* c, std::int64_t i
   }
 }
 
-// ---- matmul: C += A @ B ----------------------------------------------------
+// ---- matmul / matmul_tn: C += A @ B and C += A^T @ B -----------------------
 //
-// Per output row: four broadcast A elements against four contiguous B rows,
-// j vectorized by 8. Per-element sequence (both vector lane and fmaf tail):
-//   crow[j] += fma(a1, b1[j], a0*b0[j]) + fma(a3, b3[j], a2*b2[j])
-void mm_nn(const float* a, const float* b, float* c, std::int64_t i0,
-           std::int64_t i1, std::int64_t n, std::int64_t k) {
-  for (std::int64_t i = i0; i < i1; ++i) {
-    const float* arow = a + i * k;
-    float* crow = c + i * n;
-    std::int64_t l = 0;
-    for (; l + 4 <= k; l += 4) {
-      const float a0 = arow[l], a1 = arow[l + 1], a2 = arow[l + 2], a3 = arow[l + 3];
-      const float* b0 = b + l * n;
-      const float* b1 = b0 + n;
-      const float* b2 = b1 + n;
-      const float* b3 = b2 + n;
-      const __m256 va0 = _mm256_set1_ps(a0);
-      const __m256 va1 = _mm256_set1_ps(a1);
-      const __m256 va2 = _mm256_set1_ps(a2);
-      const __m256 va3 = _mm256_set1_ps(a3);
-      std::int64_t j = 0;
-      for (; j + 8 <= n; j += 8) {
-        const __m256 m01 =
-            _mm256_fmadd_ps(va1, _mm256_loadu_ps(b1 + j),
-                            _mm256_mul_ps(va0, _mm256_loadu_ps(b0 + j)));
-        const __m256 m23 =
-            _mm256_fmadd_ps(va3, _mm256_loadu_ps(b3 + j),
-                            _mm256_mul_ps(va2, _mm256_loadu_ps(b2 + j)));
-        _mm256_storeu_ps(crow + j, _mm256_add_ps(_mm256_loadu_ps(crow + j),
-                                                 _mm256_add_ps(m01, m23)));
-      }
-      for (; j < n; ++j) {
-        const float m01 = std::fma(a1, b1[j], a0 * b0[j]);
-        const float m23 = std::fma(a3, b3[j], a2 * b2[j]);
-        crow[j] += m01 + m23;
-      }
-    }
-    for (; l < k; ++l) {
-      const float av = arow[l];
-      const float* brow = b + l * n;
-      const __m256 vav = _mm256_set1_ps(av);
-      std::int64_t j = 0;
-      for (; j + 8 <= n; j += 8) {
-        _mm256_storeu_ps(crow + j, _mm256_fmadd_ps(vav, _mm256_loadu_ps(brow + j),
-                                                   _mm256_loadu_ps(crow + j)));
-      }
-      for (; j < n; ++j) crow[j] = std::fma(av, brow[j], crow[j]);
-    }
-  }
-}
+// Both products and the bf16-B matmul run the register tiles of
+// tensor/gemm_tile.h (tiling and per-element sequence documented there),
+// instantiated with this 8-lane vector policy.
 
-void mm_nn_bf16(const float* a, const std::uint16_t* b, float* c, std::int64_t i0,
-                std::int64_t i1, std::int64_t n, std::int64_t k) {
-  for (std::int64_t i = i0; i < i1; ++i) {
-    const float* arow = a + i * k;
-    float* crow = c + i * n;
-    std::int64_t l = 0;
-    for (; l + 4 <= k; l += 4) {
-      const float a0 = arow[l], a1 = arow[l + 1], a2 = arow[l + 2], a3 = arow[l + 3];
-      const std::uint16_t* b0 = b + l * n;
-      const std::uint16_t* b1 = b0 + n;
-      const std::uint16_t* b2 = b1 + n;
-      const std::uint16_t* b3 = b2 + n;
-      const __m256 va0 = _mm256_set1_ps(a0);
-      const __m256 va1 = _mm256_set1_ps(a1);
-      const __m256 va2 = _mm256_set1_ps(a2);
-      const __m256 va3 = _mm256_set1_ps(a3);
-      std::int64_t j = 0;
-      for (; j + 8 <= n; j += 8) {
-        const __m256 m01 = _mm256_fmadd_ps(va1, bf16_load8(b1 + j),
-                                           _mm256_mul_ps(va0, bf16_load8(b0 + j)));
-        const __m256 m23 = _mm256_fmadd_ps(va3, bf16_load8(b3 + j),
-                                           _mm256_mul_ps(va2, bf16_load8(b2 + j)));
-        _mm256_storeu_ps(crow + j, _mm256_add_ps(_mm256_loadu_ps(crow + j),
-                                                 _mm256_add_ps(m01, m23)));
-      }
-      for (; j < n; ++j) {
-        const float m01 = std::fma(a1, bf16_load1(b1[j]), a0 * bf16_load1(b0[j]));
-        const float m23 = std::fma(a3, bf16_load1(b3[j]), a2 * bf16_load1(b2[j]));
-        crow[j] += m01 + m23;
-      }
-    }
-    for (; l < k; ++l) {
-      const float av = arow[l];
-      const std::uint16_t* brow = b + l * n;
-      const __m256 vav = _mm256_set1_ps(av);
-      std::int64_t j = 0;
-      for (; j + 8 <= n; j += 8) {
-        _mm256_storeu_ps(crow + j, _mm256_fmadd_ps(vav, bf16_load8(brow + j),
-                                                   _mm256_loadu_ps(crow + j)));
-      }
-      for (; j < n; ++j) crow[j] = std::fma(av, bf16_load1(brow[j]), crow[j]);
-    }
-  }
-}
-
-// ---- matmul_tn: C += A^T @ B -----------------------------------------------
-void mm_tn(const float* a, const float* b, float* c, std::int64_t i0,
-           std::int64_t i1, std::int64_t m, std::int64_t n, std::int64_t k) {
-  std::int64_t l = 0;
-  for (; l + 4 <= k; l += 4) {
-    const float* a0 = a + l * m;
-    const float* a1 = a0 + m;
-    const float* a2 = a1 + m;
-    const float* a3 = a2 + m;
-    const float* b0 = b + l * n;
-    const float* b1 = b0 + n;
-    const float* b2 = b1 + n;
-    const float* b3 = b2 + n;
-    for (std::int64_t i = i0; i < i1; ++i) {
-      const float v0 = a0[i], v1 = a1[i], v2 = a2[i], v3 = a3[i];
-      const __m256 vv0 = _mm256_set1_ps(v0);
-      const __m256 vv1 = _mm256_set1_ps(v1);
-      const __m256 vv2 = _mm256_set1_ps(v2);
-      const __m256 vv3 = _mm256_set1_ps(v3);
-      float* crow = c + i * n;
-      std::int64_t j = 0;
-      for (; j + 8 <= n; j += 8) {
-        const __m256 m01 =
-            _mm256_fmadd_ps(vv1, _mm256_loadu_ps(b1 + j),
-                            _mm256_mul_ps(vv0, _mm256_loadu_ps(b0 + j)));
-        const __m256 m23 =
-            _mm256_fmadd_ps(vv3, _mm256_loadu_ps(b3 + j),
-                            _mm256_mul_ps(vv2, _mm256_loadu_ps(b2 + j)));
-        _mm256_storeu_ps(crow + j, _mm256_add_ps(_mm256_loadu_ps(crow + j),
-                                                 _mm256_add_ps(m01, m23)));
-      }
-      for (; j < n; ++j) {
-        const float m01 = std::fma(v1, b1[j], v0 * b0[j]);
-        const float m23 = std::fma(v3, b3[j], v2 * b2[j]);
-        crow[j] += m01 + m23;
-      }
-    }
-  }
-  for (; l < k; ++l) {
-    const float* arow = a + l * m;
-    const float* brow = b + l * n;
-    for (std::int64_t i = i0; i < i1; ++i) {
-      const float av = arow[i];
-      const __m256 vav = _mm256_set1_ps(av);
-      float* crow = c + i * n;
-      std::int64_t j = 0;
-      for (; j + 8 <= n; j += 8) {
-        _mm256_storeu_ps(crow + j, _mm256_fmadd_ps(vav, _mm256_loadu_ps(brow + j),
-                                                   _mm256_loadu_ps(crow + j)));
-      }
-      for (; j < n; ++j) crow[j] = std::fma(av, brow[j], crow[j]);
-    }
-  }
-}
+struct Vec8 {
+  using V = __m256;
+  static constexpr std::int64_t kWidth = 8;
+  static V load(const float* p) { return _mm256_loadu_ps(p); }
+  static V load(const std::uint16_t* p) { return bf16_load8(p); }
+  static void store(float* p, V v) { _mm256_storeu_ps(p, v); }
+  static V broadcast(float x) { return _mm256_set1_ps(x); }
+  static V mul(V x, V y) { return _mm256_mul_ps(x, y); }
+  static V add(V x, V y) { return _mm256_add_ps(x, y); }
+  static V fmadd(V x, V y, V z) { return _mm256_fmadd_ps(x, y, z); }
+  static float widen(float x) { return x; }
+  static float widen(std::uint16_t h) { return bf16_load1(h); }
+};
 
 // ---- reductions ------------------------------------------------------------
 
@@ -581,7 +450,8 @@ std::int64_t nonfinite(const float* x, std::int64_t n) {
 
 const Kernels* avx2_table() {
   static const Kernels table = {
-      &mm_nn,  &mm_nt,       &mm_tn,      &mm_nn_bf16, &mm_nt_bf16, &r_max,
+      &gemm_nn_rows<Vec8, float>, &mm_nt, &gemm_tn_rows<Vec8>,
+      &gemm_nn_rows<Vec8, std::uint16_t>, &mm_nt_bf16, &r_max,
       &r_sum,  &e_sum,       &e_scale,    &f32_to_b16, &b16_to_f32,
       &nonfinite,
   };

@@ -25,6 +25,17 @@ std::int64_t row_grain(std::int64_t steps_per_row) {
   return std::max<std::int64_t>(1, kGrainSteps / std::max<std::int64_t>(steps_per_row, 1));
 }
 
+// Row chunks of C += A @ B and C += A^T @ B hold at least this many rows (two
+// 4-row register tiles). The kernels stream each block of B once per chunk,
+// so one-row chunks (what row_grain gives the output layer's
+// [32, V/p] @ [V/p, h]) would stream the whole of B once per output row.
+// Eight rows still leave a 32-token microbatch four chunks for the pool.
+constexpr std::int64_t kMatmulMinRows = 8;
+
+std::int64_t matmul_row_grain(std::int64_t k, std::int64_t n) {
+  return std::max(row_grain(k * n), kMatmulMinRows);
+}
+
 // The inner loops live in the runtime-dispatched kernel tables (tensor/simd.h).
 // The table is resolved on the calling thread, before the parallel_for, so
 // worker threads never consult dispatch state; kernels are invoked per chunk
@@ -41,10 +52,9 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   const float* pa = a.data();
   const float* pb = b.data();
   float* pc = c.data();
-  // Parallel over output rows; the kernel accumulates four B rows per pass so
-  // C traffic drops 4x and the j-loop stays elementwise (vector-friendly).
+  // Parallel over output rows, in chunks of whole register tiles.
   const simd::Kernels& ks = simd::kernels();
-  parallel::parallel_for(0, m, row_grain(k * n), [&](std::int64_t i0, std::int64_t i1) {
+  parallel::parallel_for(0, m, matmul_row_grain(k, n), [&](std::int64_t i0, std::int64_t i1) {
     ks.matmul_rows(pa, pb, pc, i0, i1, n, k);
   });
   return c;
@@ -62,7 +72,7 @@ Tensor matmul_bf16(const Tensor& a, const Bf16Tensor& b) {
   const std::uint16_t* pb = b.data();
   float* pc = c.data();
   const simd::Kernels& ks = simd::kernels();
-  parallel::parallel_for(0, m, row_grain(k * n), [&](std::int64_t i0, std::int64_t i1) {
+  parallel::parallel_for(0, m, matmul_row_grain(k, n), [&](std::int64_t i0, std::int64_t i1) {
     ks.matmul_bf16_rows(pa, pb, pc, i0, i1, n, k);
   });
   return c;
@@ -114,11 +124,10 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b) {
   const float* pa = a.data();
   const float* pb = b.data();
   float* pc = c.data();
-  // Rank-1 update accumulation, parallel over output rows (columns of A).
-  // The kernel applies four updates per pass so every C row is touched k/4
-  // times, not k times; the j-loop is elementwise and vectorizes.
+  // Parallel over output rows (columns of A), in chunks of whole register
+  // tiles; each tile of C stays in registers across the k updates.
   const simd::Kernels& ks = simd::kernels();
-  parallel::parallel_for(0, m, row_grain(k * n), [&](std::int64_t i0, std::int64_t i1) {
+  parallel::parallel_for(0, m, matmul_row_grain(k, n), [&](std::int64_t i0, std::int64_t i1) {
     ks.matmul_tn_rows(pa, pb, pc, i0, i1, m, n, k);
   });
   return c;

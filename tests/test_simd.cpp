@@ -145,6 +145,109 @@ TEST(SimdWidthSweep, MatmulFamilyBitIdenticalAcrossThreadWidths) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Register-tiled matmul / matmul_tn / matmul_bf16 (tensor/gemm_tile.h): at
+// the FMA levels every output element follows one fixed sequence over k,
+// whatever tile, k-block, remainder column or row chunk produced it. Shapes
+// straddle every edge: rows around the 4-row tile, columns around the 8/16
+// lane vectors and the 2-vector panel, k around the 4-step quad and the
+// 128-row k-block.
+// ---------------------------------------------------------------------------
+
+// c = c + (fma(a1, b1, a0 * b0) + fma(a3, b3, a2 * b2)) for each quad of k,
+// then c = fma(a, b, c) for the k % 4 tail.
+template <class AAt, class BAt>
+float quad_sequence_element(AAt a_at, BAt b_at, std::int64_t k) {
+  float c = 0.0f;
+  std::int64_t l = 0;
+  for (; l + 4 <= k; l += 4) {
+    const float m01 = std::fma(a_at(l + 1), b_at(l + 1), a_at(l) * b_at(l));
+    const float m23 = std::fma(a_at(l + 3), b_at(l + 3), a_at(l + 2) * b_at(l + 2));
+    c = c + (m01 + m23);
+  }
+  for (; l < k; ++l) c = std::fma(a_at(l), b_at(l), c);
+  return c;
+}
+
+TEST(SimdTiledMatmul, FmaLevelsFollowTheQuadSequenceAtEveryEdge) {
+  struct Shape {
+    std::int64_t m, k, n;
+  };
+  const std::vector<Shape> shapes = {{1, 1, 1},     {3, 3, 7},     {4, 4, 8},
+                                     {5, 5, 16},    {6, 2, 49},    {9, 127, 33},
+                                     {13, 129, 47}, {17, 131, 65}, {8, 260, 32},
+                                     {32, 256, 128}};
+  PoolWidthGuard guard;
+  int checked_levels = 0;
+  for (const auto level : simd::supported_levels()) {
+    if (level != simd::Level::kAvx2 && level != simd::Level::kAvx512) continue;
+    ++checked_levels;
+    simd::ScopedLevel scoped(level);
+    std::uint64_t seed = 100;
+    for (const Shape& s : shapes) {
+      const Tensor a = randn({s.m, s.k}, ++seed);
+      const Tensor at = randn({s.k, s.m}, ++seed);
+      const Tensor b = randn({s.k, s.n}, ++seed);
+      const Bf16Tensor hb = Bf16Tensor::from_tensor(b);
+      const Tensor hb_wide = hb.to_tensor();
+      for (const int width : {1, 3}) {
+        parallel::set_num_threads(width);
+        const Tensor nn = matmul(a, b);
+        const Tensor tn = matmul_tn(at, b);
+        const Tensor nn_h = matmul_bf16(a, hb);
+        for (std::int64_t i = 0; i < s.m; ++i) {
+          for (std::int64_t j = 0; j < s.n; ++j) {
+            const auto b_at = [&](std::int64_t l) { return b.at(l, j); };
+            const auto hb_at = [&](std::int64_t l) { return hb_wide.at(l, j); };
+            const auto a_at = [&](std::int64_t l) { return a.at(i, l); };
+            const auto at_at = [&](std::int64_t l) { return at.at(l, i); };
+            const std::string where = std::string(simd::to_string(level)) + " [" +
+                                      std::to_string(s.m) + "," + std::to_string(s.k) + "," +
+                                      std::to_string(s.n) + "] @ " + std::to_string(width) +
+                                      " threads, element (" + std::to_string(i) + "," +
+                                      std::to_string(j) + ")";
+            ASSERT_EQ(nn.at(i, j), quad_sequence_element(a_at, b_at, s.k)) << "matmul " << where;
+            ASSERT_EQ(tn.at(i, j), quad_sequence_element(at_at, b_at, s.k))
+                << "matmul_tn " << where;
+            ASSERT_EQ(nn_h.at(i, j), quad_sequence_element(a_at, hb_at, s.k))
+                << "matmul_bf16 " << where;
+          }
+        }
+      }
+    }
+  }
+  if (checked_levels == 0) GTEST_SKIP() << "no AVX2/AVX-512 level on this build/CPU";
+}
+
+TEST(SimdTiledMatmul, RowRangesSplitOffTileBoundariesAccumulateIdentically) {
+  // The kernels add into C. Rows [0, 9) in one call, or as [0, 3) + [3, 9)
+  // (neither split on a 4-row tile boundary), must give the same bytes on top
+  // of the same non-zero C, at every level.
+  const std::int64_t m = 9, k = 131, n = 37;
+  const Tensor a = randn({m, k}, 21);
+  const Tensor at = randn({k, m}, 22);
+  const Tensor b = randn({k, n}, 23);
+  const Tensor c0 = randn({m, n}, 24);
+  for (const auto level : simd::supported_levels()) {
+    const simd::Kernels& ks = simd::kernels_for(level);
+    const std::string tag = simd::to_string(level);
+    Tensor whole = c0, split = c0;
+    ks.matmul_rows(a.data(), b.data(), whole.data(), 0, m, n, k);
+    ks.matmul_rows(a.data(), b.data(), split.data(), 0, 3, n, k);
+    ks.matmul_rows(a.data(), b.data(), split.data(), 3, m, n, k);
+    expect_bitwise_equal(split, whole, "matmul_rows split at row 3, " + tag);
+    Tensor whole_tn = c0, split_tn = c0;
+    ks.matmul_tn_rows(at.data(), b.data(), whole_tn.data(), 0, m, m, n, k);
+    ks.matmul_tn_rows(at.data(), b.data(), split_tn.data(), 0, 3, m, n, k);
+    ks.matmul_tn_rows(at.data(), b.data(), split_tn.data(), 3, m, m, n, k);
+    expect_bitwise_equal(split_tn, whole_tn, "matmul_tn_rows split at row 3, " + tag);
+    // The accumulation is a real partial sum: C moved off c0 everywhere.
+    for (std::int64_t i = 0; i < whole.numel(); ++i) {
+      ASSERT_NE(whole.at(i), c0.at(i)) << tag << " index " << i;
+    }
+  }
+}
+
 TEST(SimdWidthSweep, SoftmaxFamilyBitIdenticalAcrossThreadWidths) {
   // 9 rows x 131 logits with masked (-inf) entries, like a padded vocab shard.
   Tensor logits = randn({9, 131}, 5, 4.0f);
