@@ -106,7 +106,9 @@ std::string BenchJson::render() const {
        << "\"ns_per_iter\": " << static_cast<std::int64_t>(r.ns_per_iter + 0.5) << ", "
        << "\"gflops\": " << r.gflops << ", "
        << "\"gbps\": " << r.gbps << ", "
-       << "\"threads\": " << r.threads << "}" << (i + 1 < records_.size() ? "," : "") << "\n";
+       << "\"threads\": " << r.threads << ", "
+       << "\"simd\": \"" << json_escape(r.simd) << "\"}" << (i + 1 < records_.size() ? "," : "")
+       << "\n";
   }
   os << "]\n";
   return os.str();

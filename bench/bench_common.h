@@ -53,6 +53,7 @@ struct KernelRecord {
   double gflops = 0;       ///< compute throughput (0 when the bench reports no FLOPs)
   double gbps = 0;         ///< memory throughput, GB/s (0 when the bench reports no bytes)
   int threads = 1;         ///< VOCAB_NUM_THREADS-configured pool width
+  std::string simd;        ///< resolved kernel level, e.g. "avx512" (VOCAB_SIMD)
 };
 
 /// Accumulates KernelRecords and renders them as a JSON array.

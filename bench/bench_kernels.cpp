@@ -3,9 +3,10 @@
 // partitioned), and the full per-shard output-layer algorithms.
 //
 // Pass `--json <path>` to also emit the results as a machine-readable
-// BENCH_kernels.json array (name, shape, ns/iter, GFLOP/s, GB/s, threads) so
-// the kernel perf trajectory is recorded across revisions. Compute-bound
-// kernels report GFLOP/s; memory-bound ones (softmax) report GB/s.
+// BENCH_kernels.json array (name, shape, ns/iter, GFLOP/s, GB/s, threads,
+// SIMD level) so the kernel perf trajectory is recorded across revisions.
+// Compute-bound kernels report GFLOP/s; memory-bound ones (softmax) report
+// GB/s.
 
 #include <benchmark/benchmark.h>
 
@@ -23,6 +24,7 @@
 #include "core/vocab_shard.h"
 #include "parallel/thread_pool.h"
 #include "tensor/bf16.h"
+#include "tensor/simd.h"
 #include "tensor/tensor_ops.h"
 
 namespace vocab {
@@ -121,9 +123,9 @@ constexpr std::int64_t kTokens = 32;
 constexpr std::int64_t kHidden = 128;
 constexpr std::int64_t kShardRows = 2048;
 
-void bench_backward_product(benchmark::State& state, const Tensor& a, const Tensor& b,
-                            Tensor (*product)(const Tensor&, const Tensor&),
-                            std::int64_t flops, const std::string& label) {
+void bench_product(benchmark::State& state, const Tensor& a, const Tensor& b,
+                   Tensor (*product)(const Tensor&, const Tensor&), std::int64_t flops,
+                   const std::string& label) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(product(a, b));
   }
@@ -135,34 +137,70 @@ void BM_Matmul_OutputGradX(benchmark::State& state) {
   Rng rng(7);
   const Tensor d = Tensor::randn({kTokens, kShardRows}, rng);
   const Tensor w = Tensor::randn({kShardRows, kHidden}, rng, 0.2f);
-  bench_backward_product(state, d, w, matmul, 2 * kTokens * kShardRows * kHidden,
-                         dims(kTokens, kShardRows) + "x" + dims(kShardRows, kHidden));
+  bench_product(state, d, w, matmul, 2 * kTokens * kShardRows * kHidden,
+                dims(kTokens, kShardRows) + "x" + dims(kShardRows, kHidden));
 }
 void BM_MatmulTN_OutputGradW(benchmark::State& state) {
   Rng rng(8);
   const Tensor d = Tensor::randn({kTokens, kShardRows}, rng);
   const Tensor x = Tensor::randn({kTokens, kHidden}, rng);
-  bench_backward_product(state, d, x, matmul_tn, 2 * kTokens * kShardRows * kHidden,
-                         dims(kTokens, kShardRows) + "^Tx" + dims(kTokens, kHidden));
+  bench_product(state, d, x, matmul_tn, 2 * kTokens * kShardRows * kHidden,
+                dims(kTokens, kShardRows) + "^Tx" + dims(kTokens, kHidden));
 }
 void BM_Matmul_MlpUp(benchmark::State& state) {
   Rng rng(9);
   const Tensor x = Tensor::randn({kTokens, kHidden}, rng);
   const Tensor w = Tensor::randn({kHidden, 4 * kHidden}, rng, 0.2f);
-  bench_backward_product(state, x, w, matmul, 2 * kTokens * kHidden * 4 * kHidden,
-                         dims(kTokens, kHidden) + "x" + dims(kHidden, 4 * kHidden));
+  bench_product(state, x, w, matmul, 2 * kTokens * kHidden * 4 * kHidden,
+                dims(kTokens, kHidden) + "x" + dims(kHidden, 4 * kHidden));
 }
 void BM_MatmulTN_MlpUpGradW(benchmark::State& state) {
   Rng rng(10);
   const Tensor x = Tensor::randn({kTokens, kHidden}, rng);
   const Tensor g = Tensor::randn({kTokens, 4 * kHidden}, rng);
-  bench_backward_product(state, x, g, matmul_tn, 2 * kTokens * kHidden * 4 * kHidden,
-                         dims(kTokens, kHidden) + "^Tx" + dims(kTokens, 4 * kHidden));
+  bench_product(state, x, g, matmul_tn, 2 * kTokens * kHidden * 4 * kHidden,
+                dims(kTokens, kHidden) + "^Tx" + dims(kTokens, 4 * kHidden));
+}
+// The A @ B^T products at the same shapes: the shard's logits Y = X W^T, the
+// MLP's input gradients dY W^T, and one attention head's Q K^T (head dim 32,
+// the small-k case).
+void BM_MatmulNT_OutputLogits(benchmark::State& state) {
+  Rng rng(11);
+  const Tensor x = Tensor::randn({kTokens, kHidden}, rng);
+  const Tensor w = Tensor::randn({kShardRows, kHidden}, rng, 0.2f);
+  bench_product(state, x, w, matmul_nt, 2 * kTokens * kShardRows * kHidden,
+                dims(kTokens, kHidden) + "x" + dims(kShardRows, kHidden) + "^T");
+}
+void BM_MatmulNT_MlpUpGradX(benchmark::State& state) {
+  Rng rng(12);
+  const Tensor g = Tensor::randn({kTokens, 4 * kHidden}, rng);
+  const Tensor w = Tensor::randn({kHidden, 4 * kHidden}, rng, 0.2f);
+  bench_product(state, g, w, matmul_nt, 2 * kTokens * kHidden * 4 * kHidden,
+                dims(kTokens, 4 * kHidden) + "x" + dims(kHidden, 4 * kHidden) + "^T");
+}
+void BM_MatmulNT_MlpDownGradX(benchmark::State& state) {
+  Rng rng(13);
+  const Tensor g = Tensor::randn({kTokens, kHidden}, rng);
+  const Tensor w = Tensor::randn({4 * kHidden, kHidden}, rng, 0.2f);
+  bench_product(state, g, w, matmul_nt, 2 * kTokens * 4 * kHidden * kHidden,
+                dims(kTokens, kHidden) + "x" + dims(4 * kHidden, kHidden) + "^T");
+}
+void BM_MatmulNT_Attention(benchmark::State& state) {
+  constexpr std::int64_t kHeadDim = 32;
+  Rng rng(14);
+  const Tensor q = Tensor::randn({kTokens, kHeadDim}, rng);
+  const Tensor k = Tensor::randn({kTokens, kHeadDim}, rng);
+  bench_product(state, q, k, matmul_nt, 2 * kTokens * kTokens * kHeadDim,
+                dims(kTokens, kHeadDim) + "x" + dims(kTokens, kHeadDim) + "^T");
 }
 BENCHMARK(BM_Matmul_OutputGradX)->UseRealTime();
 BENCHMARK(BM_MatmulTN_OutputGradW)->UseRealTime();
 BENCHMARK(BM_Matmul_MlpUp)->UseRealTime();
 BENCHMARK(BM_MatmulTN_MlpUpGradW)->UseRealTime();
+BENCHMARK(BM_MatmulNT_OutputLogits)->UseRealTime();
+BENCHMARK(BM_MatmulNT_MlpUpGradX)->UseRealTime();
+BENCHMARK(BM_MatmulNT_MlpDownGradX)->UseRealTime();
+BENCHMARK(BM_MatmulNT_Attention)->UseRealTime();
 
 // Softmax is memory-bound, so its throughput is reported as bytes moved
 // (read the logits, write the probabilities) rather than FLOPs.
@@ -272,6 +310,7 @@ class JsonCollector : public benchmark::ConsoleReporter {
       const auto bytes = run.counters.find("bytes_per_second");
       rec.gbps = bytes == run.counters.end() ? 0.0 : bytes->second.value / 1e9;
       rec.threads = parallel::num_threads();
+      rec.simd = simd::to_string(simd::active_level());
       json_.add(std::move(rec));
     }
     ConsoleReporter::ReportRuns(reports);

@@ -12,12 +12,20 @@ OutputLayerResult reference_output_layer(const Tensor& x, const Tensor& w,
   VOCAB_CHECK(x.dim(1) == w.dim(1),
               "hidden dim mismatch: x " << x.shape_str() << " vs w " << w.shape_str());
   const Tensor logits = matmul_nt(x, w);  // eq. (1): Y = X W^T
+  // One pass of row statistics serves both the loss and the softmax.
+  const Tensor maxima = row_max(logits);
+  const Tensor sums = row_exp_sum(logits, maxima);
   OutputLayerResult out;
-  out.loss = cross_entropy_mean(logits, targets);
+  out.loss = cross_entropy_mean_with_stats(logits, maxima, sums, targets);
 
-  Tensor d = softmax_rows(logits);  // eq. (2)
-  const Tensor g = one_hot(targets, w.dim(0));
-  d = sub(d, g);
+  // D = softmax(Y) - G, eq. (2)-(3). The loss has checked every target is in
+  // range; subtracting 1 at the target alone gives the bytes of subtracting
+  // the one-hot G, since x - 0 == x.
+  Tensor d = softmax_rows_with_stats(logits, maxima, sums);
+  const std::int64_t v = w.dim(0);
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    d.data()[static_cast<std::int64_t>(i) * v + targets[i]] -= 1.0f;
+  }
   scale_inplace(d, grad_scale);
 
   out.grad_x = matmul(d, w);     // eq. (3)

@@ -19,6 +19,7 @@
 #include <cstring>
 #include <limits>
 
+#include "tensor/gemm_nt_tile.h"
 #include "tensor/gemm_tile.h"
 #include "tensor/simd_tables.h"
 
@@ -27,16 +28,6 @@ namespace vocab::simd::detail {
 namespace {
 
 // ---- shared helpers --------------------------------------------------------
-
-// Fixed lane-reduction tree: ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)).
-inline float hsum8(__m256 v) {
-  const __m128 lo = _mm256_castps256_ps128(v);
-  const __m128 hi = _mm256_extractf128_ps(v, 1);
-  __m128 s = _mm_add_ps(lo, hi);
-  s = _mm_add_ps(s, _mm_movehl_ps(s, s));
-  s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 0x1));
-  return _mm_cvtss_f32(s);
-}
 
 inline float hmax8(__m256 v) {
   const __m128 lo = _mm256_castps256_ps128(v);
@@ -71,168 +62,12 @@ inline float bf16_load1(std::uint16_t h) {
   return f;
 }
 
-// Single dot product; defines the per-element sequence every matmul_nt path
-// must reproduce: 8-wide FMA accumulation, hsum8 tree, fmaf tail.
-inline float dot(const float* a, const float* b, std::int64_t k) {
-  __m256 acc = _mm256_setzero_ps();
-  std::int64_t l = 0;
-  for (; l + 8 <= k; l += 8) {
-    acc = _mm256_fmadd_ps(_mm256_loadu_ps(a + l), _mm256_loadu_ps(b + l), acc);
-  }
-  float s = hsum8(acc);
-  for (; l < k; ++l) s = std::fma(a[l], b[l], s);
-  return s;
-}
-
-inline float dot_bf16(const float* a, const std::uint16_t* b, std::int64_t k) {
-  __m256 acc = _mm256_setzero_ps();
-  std::int64_t l = 0;
-  for (; l + 8 <= k; l += 8) {
-    acc = _mm256_fmadd_ps(_mm256_loadu_ps(a + l), bf16_load8(b + l), acc);
-  }
-  float s = hsum8(acc);
-  for (; l < k; ++l) s = std::fma(a[l], bf16_load1(b[l]), s);
-  return s;
-}
-
-// ---- matmul_nt: C = A @ B^T ------------------------------------------------
+// ---- matmuls ---------------------------------------------------------------
 //
-// Cache tiling: A-row tiles of 16 against four-row B panels (the panel — four
-// contiguous rows of row-major B — stays L1/L2 resident across the tile).
-// Register blocking: 2 A rows x 4 B rows = 8 accumulator registers in the
-// k-loop. Every C element still equals dot(arow, brow, k) bit for bit.
-void mm_nt(const float* a, const float* b, float* c, std::int64_t i0,
-           std::int64_t i1, std::int64_t n, std::int64_t k) {
-  constexpr std::int64_t kRowTile = 16;
-  for (std::int64_t ib = i0; ib < i1; ib += kRowTile) {
-    const std::int64_t ie = std::min(ib + kRowTile, i1);
-    std::int64_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-      const float* b0 = b + j * k;
-      const float* b1 = b0 + k;
-      const float* b2 = b1 + k;
-      const float* b3 = b2 + k;
-      std::int64_t i = ib;
-      for (; i + 2 <= ie; i += 2) {
-        const float* a0 = a + i * k;
-        const float* a1 = a0 + k;
-        __m256 c00 = _mm256_setzero_ps(), c01 = _mm256_setzero_ps();
-        __m256 c02 = _mm256_setzero_ps(), c03 = _mm256_setzero_ps();
-        __m256 c10 = _mm256_setzero_ps(), c11 = _mm256_setzero_ps();
-        __m256 c12 = _mm256_setzero_ps(), c13 = _mm256_setzero_ps();
-        std::int64_t l = 0;
-        for (; l + 8 <= k; l += 8) {
-          const __m256 va0 = _mm256_loadu_ps(a0 + l);
-          const __m256 va1 = _mm256_loadu_ps(a1 + l);
-          __m256 vb = _mm256_loadu_ps(b0 + l);
-          c00 = _mm256_fmadd_ps(va0, vb, c00);
-          c10 = _mm256_fmadd_ps(va1, vb, c10);
-          vb = _mm256_loadu_ps(b1 + l);
-          c01 = _mm256_fmadd_ps(va0, vb, c01);
-          c11 = _mm256_fmadd_ps(va1, vb, c11);
-          vb = _mm256_loadu_ps(b2 + l);
-          c02 = _mm256_fmadd_ps(va0, vb, c02);
-          c12 = _mm256_fmadd_ps(va1, vb, c12);
-          vb = _mm256_loadu_ps(b3 + l);
-          c03 = _mm256_fmadd_ps(va0, vb, c03);
-          c13 = _mm256_fmadd_ps(va1, vb, c13);
-        }
-        float s00 = hsum8(c00), s01 = hsum8(c01), s02 = hsum8(c02), s03 = hsum8(c03);
-        float s10 = hsum8(c10), s11 = hsum8(c11), s12 = hsum8(c12), s13 = hsum8(c13);
-        for (; l < k; ++l) {
-          const float x0 = a0[l], x1 = a1[l];
-          s00 = std::fma(x0, b0[l], s00);
-          s01 = std::fma(x0, b1[l], s01);
-          s02 = std::fma(x0, b2[l], s02);
-          s03 = std::fma(x0, b3[l], s03);
-          s10 = std::fma(x1, b0[l], s10);
-          s11 = std::fma(x1, b1[l], s11);
-          s12 = std::fma(x1, b2[l], s12);
-          s13 = std::fma(x1, b3[l], s13);
-        }
-        float* crow0 = c + i * n + j;
-        float* crow1 = crow0 + n;
-        crow0[0] = s00;
-        crow0[1] = s01;
-        crow0[2] = s02;
-        crow0[3] = s03;
-        crow1[0] = s10;
-        crow1[1] = s11;
-        crow1[2] = s12;
-        crow1[3] = s13;
-      }
-      for (; i < ie; ++i) {
-        const float* arow = a + i * k;
-        float* crow = c + i * n + j;
-        crow[0] = dot(arow, b0, k);
-        crow[1] = dot(arow, b1, k);
-        crow[2] = dot(arow, b2, k);
-        crow[3] = dot(arow, b3, k);
-      }
-    }
-    for (; j < n; ++j) {
-      const float* brow = b + j * k;
-      for (std::int64_t i = ib; i < ie; ++i) {
-        c[i * n + j] = dot(a + i * k, brow, k);
-      }
-    }
-  }
-}
-
-// bf16-B variant: 1 A row x 4 B rows (B bandwidth is already halved; the
-// simpler blocking keeps the decode in registers).
-void mm_nt_bf16(const float* a, const std::uint16_t* b, float* c, std::int64_t i0,
-                std::int64_t i1, std::int64_t n, std::int64_t k) {
-  constexpr std::int64_t kRowTile = 16;
-  for (std::int64_t ib = i0; ib < i1; ib += kRowTile) {
-    const std::int64_t ie = std::min(ib + kRowTile, i1);
-    std::int64_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-      const std::uint16_t* b0 = b + j * k;
-      const std::uint16_t* b1 = b0 + k;
-      const std::uint16_t* b2 = b1 + k;
-      const std::uint16_t* b3 = b2 + k;
-      for (std::int64_t i = ib; i < ie; ++i) {
-        const float* arow = a + i * k;
-        __m256 c0 = _mm256_setzero_ps(), c1 = _mm256_setzero_ps();
-        __m256 c2 = _mm256_setzero_ps(), c3 = _mm256_setzero_ps();
-        std::int64_t l = 0;
-        for (; l + 8 <= k; l += 8) {
-          const __m256 va = _mm256_loadu_ps(arow + l);
-          c0 = _mm256_fmadd_ps(va, bf16_load8(b0 + l), c0);
-          c1 = _mm256_fmadd_ps(va, bf16_load8(b1 + l), c1);
-          c2 = _mm256_fmadd_ps(va, bf16_load8(b2 + l), c2);
-          c3 = _mm256_fmadd_ps(va, bf16_load8(b3 + l), c3);
-        }
-        float s0 = hsum8(c0), s1 = hsum8(c1), s2 = hsum8(c2), s3 = hsum8(c3);
-        for (; l < k; ++l) {
-          const float av = arow[l];
-          s0 = std::fma(av, bf16_load1(b0[l]), s0);
-          s1 = std::fma(av, bf16_load1(b1[l]), s1);
-          s2 = std::fma(av, bf16_load1(b2[l]), s2);
-          s3 = std::fma(av, bf16_load1(b3[l]), s3);
-        }
-        float* crow = c + i * n + j;
-        crow[0] = s0;
-        crow[1] = s1;
-        crow[2] = s2;
-        crow[3] = s3;
-      }
-    }
-    for (; j < n; ++j) {
-      const std::uint16_t* brow = b + j * k;
-      for (std::int64_t i = ib; i < ie; ++i) {
-        c[i * n + j] = dot_bf16(a + i * k, brow, k);
-      }
-    }
-  }
-}
-
-// ---- matmul / matmul_tn: C += A @ B and C += A^T @ B -----------------------
-//
-// Both products and the bf16-B matmul run the register tiles of
-// tensor/gemm_tile.h (tiling and per-element sequence documented there),
-// instantiated with this 8-lane vector policy.
+// C += A @ B, C += A^T @ B and the bf16-B matmul run the register tiles of
+// tensor/gemm_tile.h; C = A @ B^T and its bf16-B twin run those of
+// tensor/gemm_nt_tile.h (tiling and per-element sequences documented there).
+// Both are instantiated with this 8-lane vector policy.
 
 struct Vec8 {
   using V = __m256;
@@ -246,6 +81,18 @@ struct Vec8 {
   static V fmadd(V x, V y, V z) { return _mm256_fmadd_ps(x, y, z); }
   static float widen(float x) { return x; }
   static float widen(std::uint16_t h) { return bf16_load1(h); }
+  // Per 128-bit lane: [x[i0], x[i1], y[i2], y[i3]] for kImm's 2-bit fields.
+  template <int kImm>
+  static V shuffle(V x, V y) {
+    return _mm256_shuffle_ps(x, y, kImm);
+  }
+  // Lane q of the result is lo + hi of row(q)'s two 128-bit halves.
+  template <class Row>
+  static V fold(Row row) {
+    const V v0 = row(0), v1 = row(1);
+    return _mm256_add_ps(_mm256_permute2f128_ps(v0, v1, 0x20),
+                         _mm256_permute2f128_ps(v0, v1, 0x31));
+  }
 };
 
 // ---- reductions ------------------------------------------------------------
@@ -450,8 +297,8 @@ std::int64_t nonfinite(const float* x, std::int64_t n) {
 
 const Kernels* avx2_table() {
   static const Kernels table = {
-      &gemm_nn_rows<Vec8, float>, &mm_nt, &gemm_tn_rows<Vec8>,
-      &gemm_nn_rows<Vec8, std::uint16_t>, &mm_nt_bf16, &r_max,
+      &gemm_nn_rows<Vec8, float>, &gemm_nt_rows<Vec8, float>, &gemm_tn_rows<Vec8>,
+      &gemm_nn_rows<Vec8, std::uint16_t>, &gemm_nt_rows<Vec8, std::uint16_t>, &r_max,
       &r_sum,  &e_sum,       &e_scale,    &f32_to_b16, &b16_to_f32,
       &nonfinite,
   };

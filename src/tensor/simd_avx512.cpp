@@ -14,6 +14,7 @@
 #include <cstring>
 #include <limits>
 
+#include "tensor/gemm_nt_tile.h"
 #include "tensor/gemm_tile.h"
 #include "tensor/simd_tables.h"
 
@@ -22,22 +23,6 @@ namespace vocab::simd::detail {
 namespace {
 
 // ---- shared helpers --------------------------------------------------------
-
-inline float hsum8_avx(__m256 v) {
-  const __m128 lo = _mm256_castps256_ps128(v);
-  const __m128 hi = _mm256_extractf128_ps(v, 1);
-  __m128 s = _mm_add_ps(lo, hi);
-  s = _mm_add_ps(s, _mm_movehl_ps(s, s));
-  s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 0x1));
-  return _mm_cvtss_f32(s);
-}
-
-// Fixed tree: halves first, then the 8-lane tree.
-inline float hsum16(__m512 v) {
-  const __m256 lo = _mm512_castps512_ps256(v);
-  const __m256 hi = _mm512_extractf32x8_ps(v, 1);
-  return hsum8_avx(_mm256_add_ps(lo, hi));
-}
 
 inline float hmax16(__m512 v) {
   const __m256 lo = _mm512_castps512_ps256(v);
@@ -76,160 +61,10 @@ inline float bf16_load1(std::uint16_t h) {
   return f;
 }
 
-inline float dot(const float* a, const float* b, std::int64_t k) {
-  __m512 acc = _mm512_setzero_ps();
-  std::int64_t l = 0;
-  for (; l + 16 <= k; l += 16) {
-    acc = _mm512_fmadd_ps(_mm512_loadu_ps(a + l), _mm512_loadu_ps(b + l), acc);
-  }
-  float s = hsum16(acc);
-  for (; l < k; ++l) s = std::fma(a[l], b[l], s);
-  return s;
-}
-
-inline float dot_bf16(const float* a, const std::uint16_t* b, std::int64_t k) {
-  __m512 acc = _mm512_setzero_ps();
-  std::int64_t l = 0;
-  for (; l + 16 <= k; l += 16) {
-    acc = _mm512_fmadd_ps(_mm512_loadu_ps(a + l), bf16_load16(b + l), acc);
-  }
-  float s = hsum16(acc);
-  for (; l < k; ++l) s = std::fma(a[l], bf16_load1(b[l]), s);
-  return s;
-}
-
-// ---- matmul_nt: C = A @ B^T ------------------------------------------------
-
-void mm_nt(const float* a, const float* b, float* c, std::int64_t i0,
-           std::int64_t i1, std::int64_t n, std::int64_t k) {
-  constexpr std::int64_t kRowTile = 16;
-  for (std::int64_t ib = i0; ib < i1; ib += kRowTile) {
-    const std::int64_t ie = std::min(ib + kRowTile, i1);
-    std::int64_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-      const float* b0 = b + j * k;
-      const float* b1 = b0 + k;
-      const float* b2 = b1 + k;
-      const float* b3 = b2 + k;
-      std::int64_t i = ib;
-      for (; i + 2 <= ie; i += 2) {
-        const float* a0 = a + i * k;
-        const float* a1 = a0 + k;
-        __m512 c00 = _mm512_setzero_ps(), c01 = _mm512_setzero_ps();
-        __m512 c02 = _mm512_setzero_ps(), c03 = _mm512_setzero_ps();
-        __m512 c10 = _mm512_setzero_ps(), c11 = _mm512_setzero_ps();
-        __m512 c12 = _mm512_setzero_ps(), c13 = _mm512_setzero_ps();
-        std::int64_t l = 0;
-        for (; l + 16 <= k; l += 16) {
-          const __m512 va0 = _mm512_loadu_ps(a0 + l);
-          const __m512 va1 = _mm512_loadu_ps(a1 + l);
-          __m512 vb = _mm512_loadu_ps(b0 + l);
-          c00 = _mm512_fmadd_ps(va0, vb, c00);
-          c10 = _mm512_fmadd_ps(va1, vb, c10);
-          vb = _mm512_loadu_ps(b1 + l);
-          c01 = _mm512_fmadd_ps(va0, vb, c01);
-          c11 = _mm512_fmadd_ps(va1, vb, c11);
-          vb = _mm512_loadu_ps(b2 + l);
-          c02 = _mm512_fmadd_ps(va0, vb, c02);
-          c12 = _mm512_fmadd_ps(va1, vb, c12);
-          vb = _mm512_loadu_ps(b3 + l);
-          c03 = _mm512_fmadd_ps(va0, vb, c03);
-          c13 = _mm512_fmadd_ps(va1, vb, c13);
-        }
-        float s00 = hsum16(c00), s01 = hsum16(c01), s02 = hsum16(c02), s03 = hsum16(c03);
-        float s10 = hsum16(c10), s11 = hsum16(c11), s12 = hsum16(c12), s13 = hsum16(c13);
-        for (; l < k; ++l) {
-          const float x0 = a0[l], x1 = a1[l];
-          s00 = std::fma(x0, b0[l], s00);
-          s01 = std::fma(x0, b1[l], s01);
-          s02 = std::fma(x0, b2[l], s02);
-          s03 = std::fma(x0, b3[l], s03);
-          s10 = std::fma(x1, b0[l], s10);
-          s11 = std::fma(x1, b1[l], s11);
-          s12 = std::fma(x1, b2[l], s12);
-          s13 = std::fma(x1, b3[l], s13);
-        }
-        float* crow0 = c + i * n + j;
-        float* crow1 = crow0 + n;
-        crow0[0] = s00;
-        crow0[1] = s01;
-        crow0[2] = s02;
-        crow0[3] = s03;
-        crow1[0] = s10;
-        crow1[1] = s11;
-        crow1[2] = s12;
-        crow1[3] = s13;
-      }
-      for (; i < ie; ++i) {
-        const float* arow = a + i * k;
-        float* crow = c + i * n + j;
-        crow[0] = dot(arow, b0, k);
-        crow[1] = dot(arow, b1, k);
-        crow[2] = dot(arow, b2, k);
-        crow[3] = dot(arow, b3, k);
-      }
-    }
-    for (; j < n; ++j) {
-      const float* brow = b + j * k;
-      for (std::int64_t i = ib; i < ie; ++i) {
-        c[i * n + j] = dot(a + i * k, brow, k);
-      }
-    }
-  }
-}
-
-void mm_nt_bf16(const float* a, const std::uint16_t* b, float* c, std::int64_t i0,
-                std::int64_t i1, std::int64_t n, std::int64_t k) {
-  constexpr std::int64_t kRowTile = 16;
-  for (std::int64_t ib = i0; ib < i1; ib += kRowTile) {
-    const std::int64_t ie = std::min(ib + kRowTile, i1);
-    std::int64_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-      const std::uint16_t* b0 = b + j * k;
-      const std::uint16_t* b1 = b0 + k;
-      const std::uint16_t* b2 = b1 + k;
-      const std::uint16_t* b3 = b2 + k;
-      for (std::int64_t i = ib; i < ie; ++i) {
-        const float* arow = a + i * k;
-        __m512 c0 = _mm512_setzero_ps(), c1 = _mm512_setzero_ps();
-        __m512 c2 = _mm512_setzero_ps(), c3 = _mm512_setzero_ps();
-        std::int64_t l = 0;
-        for (; l + 16 <= k; l += 16) {
-          const __m512 va = _mm512_loadu_ps(arow + l);
-          c0 = _mm512_fmadd_ps(va, bf16_load16(b0 + l), c0);
-          c1 = _mm512_fmadd_ps(va, bf16_load16(b1 + l), c1);
-          c2 = _mm512_fmadd_ps(va, bf16_load16(b2 + l), c2);
-          c3 = _mm512_fmadd_ps(va, bf16_load16(b3 + l), c3);
-        }
-        float s0 = hsum16(c0), s1 = hsum16(c1), s2 = hsum16(c2), s3 = hsum16(c3);
-        for (; l < k; ++l) {
-          const float av = arow[l];
-          s0 = std::fma(av, bf16_load1(b0[l]), s0);
-          s1 = std::fma(av, bf16_load1(b1[l]), s1);
-          s2 = std::fma(av, bf16_load1(b2[l]), s2);
-          s3 = std::fma(av, bf16_load1(b3[l]), s3);
-        }
-        float* crow = c + i * n + j;
-        crow[0] = s0;
-        crow[1] = s1;
-        crow[2] = s2;
-        crow[3] = s3;
-      }
-    }
-    for (; j < n; ++j) {
-      const std::uint16_t* brow = b + j * k;
-      for (std::int64_t i = ib; i < ie; ++i) {
-        c[i * n + j] = dot_bf16(a + i * k, brow, k);
-      }
-    }
-  }
-}
-
-// ---- matmul / matmul_tn: C += A @ B and C += A^T @ B -----------------------
+// ---- matmuls ---------------------------------------------------------------
 //
-// Both products and the bf16-B matmul run the register tiles of
-// tensor/gemm_tile.h (tiling and per-element sequence documented there),
-// instantiated with this 16-lane vector policy.
+// The register tiles of tensor/gemm_tile.h and tensor/gemm_nt_tile.h, as in
+// simd_avx2.cpp, instantiated with this 16-lane vector policy.
 
 struct Vec16 {
   using V = __m512;
@@ -243,6 +78,22 @@ struct Vec16 {
   static V fmadd(V x, V y, V z) { return _mm512_fmadd_ps(x, y, z); }
   static float widen(float x) { return x; }
   static float widen(std::uint16_t h) { return bf16_load1(h); }
+  template <int kImm>
+  static V shuffle(V x, V y) {
+    return _mm512_shuffle_ps(x, y, kImm);
+  }
+  // Lane q of the result is row(q) folded to one 128-bit lane: lo + hi of its
+  // 256-bit halves, then lo + hi of that sum's 128-bit halves.
+  template <class Row>
+  static V fold(Row row) {
+    const V v0 = row(0), v1 = row(1), v2 = row(2), v3 = row(3);
+    const V t01 = _mm512_add_ps(_mm512_shuffle_f32x4(v0, v1, 0x44),
+                                _mm512_shuffle_f32x4(v0, v1, 0xEE));
+    const V t23 = _mm512_add_ps(_mm512_shuffle_f32x4(v2, v3, 0x44),
+                                _mm512_shuffle_f32x4(v2, v3, 0xEE));
+    return _mm512_add_ps(_mm512_shuffle_f32x4(t01, t23, 0x88),
+                         _mm512_shuffle_f32x4(t01, t23, 0xDD));
+  }
 };
 
 // ---- reductions ------------------------------------------------------------
@@ -429,8 +280,8 @@ std::int64_t nonfinite(const float* x, std::int64_t n) {
 
 const Kernels* avx512_table() {
   static const Kernels table = {
-      &gemm_nn_rows<Vec16, float>, &mm_nt, &gemm_tn_rows<Vec16>,
-      &gemm_nn_rows<Vec16, std::uint16_t>, &mm_nt_bf16, &r_max,
+      &gemm_nn_rows<Vec16, float>, &gemm_nt_rows<Vec16, float>, &gemm_tn_rows<Vec16>,
+      &gemm_nn_rows<Vec16, std::uint16_t>, &gemm_nt_rows<Vec16, std::uint16_t>, &r_max,
       &r_sum,  &e_sum,       &e_scale,    &f32_to_b16, &b16_to_f32,
       &nonfinite,
   };

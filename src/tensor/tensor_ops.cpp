@@ -25,10 +25,11 @@ std::int64_t row_grain(std::int64_t steps_per_row) {
   return std::max<std::int64_t>(1, kGrainSteps / std::max<std::int64_t>(steps_per_row, 1));
 }
 
-// Row chunks of C += A @ B and C += A^T @ B hold at least this many rows (two
-// 4-row register tiles). The kernels stream each block of B once per chunk,
-// so one-row chunks (what row_grain gives the output layer's
-// [32, V/p] @ [V/p, h]) would stream the whole of B once per output row.
+// Row chunks of every matmul product hold at least this many rows: whole
+// register tiles at every level (4 rows for matmul and matmul_tn, 2 or 4 for
+// matmul_nt). The kernels stream B once per chunk, so one-row chunks (what
+// row_grain gives the output layer's [32, h] @ [V/p, h]^T and its two
+// backward products) would stream the whole of B once per output row.
 // Eight rows still leave a 32-token microbatch four chunks for the pool.
 constexpr std::int64_t kMatmulMinRows = 8;
 
@@ -87,11 +88,10 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
   const float* pa = a.data();
   const float* pb = b.data();
   float* pc = c.data();
-  // Row-times-row dot products, parallel over A rows; the kernel's A-row
-  // tiles keep each four-row B panel resident across the tile instead of
-  // streaming the whole of B once per A row.
+  // Row-times-row dot products, parallel over A rows in chunks of whole
+  // register tiles; each four-row panel of B serves every row of the chunk.
   const simd::Kernels& ks = simd::kernels();
-  parallel::parallel_for(0, m, row_grain(k * n), [&](std::int64_t i0, std::int64_t i1) {
+  parallel::parallel_for(0, m, matmul_row_grain(k, n), [&](std::int64_t i0, std::int64_t i1) {
     ks.matmul_nt_rows(pa, pb, pc, i0, i1, n, k);
   });
   return c;
@@ -109,7 +109,7 @@ Tensor matmul_nt_bf16(const Tensor& a, const Bf16Tensor& b) {
   const std::uint16_t* pb = b.data();
   float* pc = c.data();
   const simd::Kernels& ks = simd::kernels();
-  parallel::parallel_for(0, m, row_grain(k * n), [&](std::int64_t i0, std::int64_t i1) {
+  parallel::parallel_for(0, m, matmul_row_grain(k, n), [&](std::int64_t i0, std::int64_t i1) {
     ks.matmul_nt_bf16_rows(pa, pb, pc, i0, i1, n, k);
   });
   return c;
@@ -137,17 +137,6 @@ Tensor add(const Tensor& a, const Tensor& b) {
   VOCAB_CHECK(a.same_shape(b), "add shape mismatch: " << a.shape_str() << " vs " << b.shape_str());
   Tensor c = a;
   add_inplace(c, b);
-  return c;
-}
-
-Tensor sub(const Tensor& a, const Tensor& b) {
-  VOCAB_CHECK(a.same_shape(b), "sub shape mismatch: " << a.shape_str() << " vs " << b.shape_str());
-  Tensor c = a;
-  float* pc = c.data();
-  const float* pb = b.data();
-  parallel::parallel_for(0, c.numel(), kGrainSteps, [&](std::int64_t e0, std::int64_t e1) {
-    for (std::int64_t i = e0; i < e1; ++i) pc[i] -= pb[i];
-  });
   return c;
 }
 
@@ -265,11 +254,19 @@ Tensor softmax_rows_with_stats(const Tensor& logits, const Tensor& maxima, const
 
 float cross_entropy_mean(const Tensor& logits, const std::vector<std::int64_t>& targets) {
   check_rank2(logits, "cross_entropy_mean");
+  const Tensor maxima = row_max(logits);
+  return cross_entropy_mean_with_stats(logits, maxima, row_exp_sum(logits, maxima), targets);
+}
+
+float cross_entropy_mean_with_stats(const Tensor& logits, const Tensor& maxima,
+                                    const Tensor& sums,
+                                    const std::vector<std::int64_t>& targets) {
+  check_rank2(logits, "cross_entropy_mean_with_stats");
   const std::int64_t m = logits.dim(0), n = logits.dim(1);
   VOCAB_CHECK(static_cast<std::int64_t>(targets.size()) == m,
               "target count " << targets.size() << " != rows " << m);
-  const Tensor maxima = row_max(logits);
-  const Tensor sums = row_exp_sum(logits, maxima);
+  VOCAB_CHECK(maxima.rank() == 1 && maxima.dim(0) == m && sums.rank() == 1 && sums.dim(0) == m,
+              "cross-entropy stats shape mismatch");
   double loss = 0.0;
   const float* pl = logits.data();
   for (std::int64_t i = 0; i < m; ++i) {
@@ -279,20 +276,6 @@ float cross_entropy_mean(const Tensor& logits, const std::vector<std::int64_t>& 
     loss += std::log(static_cast<double>(sums.at(i))) + maxima.at(i) - pl[i * n + t];
   }
   return static_cast<float>(loss / static_cast<double>(m));
-}
-
-Tensor one_hot(const std::vector<std::int64_t>& targets, std::int64_t classes) {
-  VOCAB_CHECK(classes > 0, "one_hot requires classes > 0");
-  const std::int64_t m = static_cast<std::int64_t>(targets.size());
-  Tensor g({m, classes});
-  float* pg = g.data();
-  parallel::parallel_for(0, m, row_grain(1), [&](std::int64_t i0, std::int64_t i1) {
-    for (std::int64_t i = i0; i < i1; ++i) {
-      const std::int64_t t = targets[static_cast<std::size_t>(i)];
-      if (t >= 0 && t < classes) pg[i * classes + t] = 1.0f;
-    }
-  });
-  return g;
 }
 
 Tensor transpose(const Tensor& a) {

@@ -43,8 +43,6 @@ Tensor matmul_nt_bf16(const Tensor& a, const Bf16Tensor& b);
 
 /// a + b (same shape).
 Tensor add(const Tensor& a, const Tensor& b);
-/// a - b (same shape).
-Tensor sub(const Tensor& a, const Tensor& b);
 /// a * b elementwise (same shape).
 Tensor mul(const Tensor& a, const Tensor& b);
 /// a * s.
@@ -80,10 +78,11 @@ Tensor softmax_rows_with_stats(const Tensor& logits, const Tensor& maxima,
 /// targets[i] indexes into row i's columns.
 float cross_entropy_mean(const Tensor& logits, const std::vector<std::int64_t>& targets);
 
-/// One-hot matrix G of eq. (3)/(4): [rows, classes] with G[i, targets[i]] = 1.
-/// Target values outside [0, classes) contribute an all-zero row — exactly
-/// the behaviour a vocabulary shard needs for labels owned by other shards.
-Tensor one_hot(const std::vector<std::int64_t>& targets, std::int64_t classes);
+/// cross_entropy_mean against the logits' own per-row max and exp-sum
+/// (row_max, row_exp_sum), for callers that reuse them for the softmax.
+float cross_entropy_mean_with_stats(const Tensor& logits, const Tensor& maxima,
+                                    const Tensor& sums,
+                                    const std::vector<std::int64_t>& targets);
 
 // ---- misc ------------------------------------------------------------------
 

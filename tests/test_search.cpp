@@ -265,14 +265,15 @@ TEST(ScheduleSearch, ZbBeatsBaselineOnPredictedBubbleAtEqualPeak) {
 
 // A miniature of the real snapshot: three parallel GEMM sizes, a serial
 // variant that must be excluded from the fit, and a softmax bandwidth sweep.
+// Rows end with the SIMD level, a string field the parser skips.
 constexpr const char* kSnapshot = R"([
-  {"name": "BM_MatmulNT/64/real_time", "shape": "[64,64]x[64,64]^T", "ns_per_iter": 14954, "gflops": 35.0592, "gbps": 0, "threads": 1},
-  {"name": "BM_MatmulNT/128/real_time", "shape": "[128,128]x[128,128]^T", "ns_per_iter": 96499, "gflops": 43.4647, "gbps": 0, "threads": 1},
-  {"name": "BM_MatmulNT/256/real_time", "shape": "[256,256]x[256,256]^T", "ns_per_iter": 1023380, "gflops": 52.7879, "gbps": 0, "threads": 1},
-  {"name": "BM_MatmulNT_LogitsSeedSerial/iterations:1/real_time", "shape": "[2048,1024]x[8192,1024]^T", "ns_per_iter": 30086091811, "gflops": 1.14205, "gbps": 0, "threads": 1},
-  {"name": "BM_SafeSoftmax/1024", "shape": "[64,1024]", "ns_per_iter": 70871, "gflops": 0, "gbps": 7.6321, "threads": 1},
-  {"name": "BM_SafeSoftmax/8192", "shape": "[64,8192]", "ns_per_iter": 753846, "gflops": 0, "gbps": 5.71227, "threads": 1},
-  {"name": "BM_SafeSoftmax/32768", "shape": "[64,32768]", "ns_per_iter": 3633912, "gflops": 0, "gbps": 4.79434, "threads": 1}
+  {"name": "BM_MatmulNT/64/real_time", "shape": "[64,64]x[64,64]^T", "ns_per_iter": 14954, "gflops": 35.0592, "gbps": 0, "threads": 1, "simd": "avx512"},
+  {"name": "BM_MatmulNT/128/real_time", "shape": "[128,128]x[128,128]^T", "ns_per_iter": 96499, "gflops": 43.4647, "gbps": 0, "threads": 1, "simd": "avx512"},
+  {"name": "BM_MatmulNT/256/real_time", "shape": "[256,256]x[256,256]^T", "ns_per_iter": 1023380, "gflops": 52.7879, "gbps": 0, "threads": 1, "simd": "avx512"},
+  {"name": "BM_MatmulNT_LogitsSeedSerial/iterations:1/real_time", "shape": "[2048,1024]x[8192,1024]^T", "ns_per_iter": 30086091811, "gflops": 1.14205, "gbps": 0, "threads": 1, "simd": "avx512"},
+  {"name": "BM_SafeSoftmax/1024", "shape": "[64,1024]", "ns_per_iter": 70871, "gflops": 0, "gbps": 7.6321, "threads": 1, "simd": "avx512"},
+  {"name": "BM_SafeSoftmax/8192", "shape": "[64,8192]", "ns_per_iter": 753846, "gflops": 0, "gbps": 5.71227, "threads": 1, "simd": "avx512"},
+  {"name": "BM_SafeSoftmax/32768", "shape": "[64,32768]", "ns_per_iter": 3633912, "gflops": 0, "gbps": 4.79434, "threads": 1, "simd": "avx512"}
 ])";
 
 TEST(Calibration, ParsesSnapshotRows) {

@@ -248,6 +248,106 @@ TEST(SimdTiledMatmul, RowRangesSplitOffTileBoundariesAccumulateIdentically) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Register-tiled matmul_nt / matmul_nt_bf16 (tensor/gemm_nt_tile.h): every
+// element is one W-lane dot product, whichever tile, short edge tile or row
+// chunk produced it. Shapes straddle the row tile (2 or 4 rows), the 4-column
+// panel and the vector width, with k % W != 0 for the FMA tail.
+// ---------------------------------------------------------------------------
+
+// W-lane FMAs from zero over floor(k / W) * W terms; the fixed tree (add the
+// high half of the lanes into the low half down to four lanes, then
+// (s0 + s2) + (s1 + s3)); then c = fma(a, b, c) for the tail.
+template <class AAt, class BAt>
+float dot_sequence_element(AAt a_at, BAt b_at, std::int64_t k, std::int64_t w) {
+  std::vector<float> lanes(static_cast<std::size_t>(w), 0.0f);
+  std::int64_t l = 0;
+  for (; l + w <= k; l += w) {
+    for (std::int64_t v = 0; v < w; ++v) {
+      lanes[v] = std::fma(a_at(l + v), b_at(l + v), lanes[v]);
+    }
+  }
+  for (std::int64_t half = w / 2; half >= 4; half /= 2) {
+    for (std::int64_t v = 0; v < half; ++v) lanes[v] = lanes[v] + lanes[v + half];
+  }
+  float c = (lanes[0] + lanes[2]) + (lanes[1] + lanes[3]);
+  for (; l < k; ++l) c = std::fma(a_at(l), b_at(l), c);
+  return c;
+}
+
+TEST(SimdTiledMatmul, NtProductsFollowTheDotSequenceAtEveryEdge) {
+  struct Shape {
+    std::int64_t m, k, n;
+  };
+  const std::vector<Shape> shapes = {{1, 1, 1},    {2, 7, 3},     {3, 8, 4},     {4, 9, 5},
+                                     {5, 15, 7},   {6, 16, 8},    {7, 17, 9},    {9, 33, 13},
+                                     {13, 67, 29}, {8, 128, 12},  {17, 130, 33}, {32, 64, 54}};
+  PoolWidthGuard guard;
+  int checked_levels = 0;
+  for (const auto level : simd::supported_levels()) {
+    if (level != simd::Level::kAvx2 && level != simd::Level::kAvx512) continue;
+    ++checked_levels;
+    const std::int64_t w = level == simd::Level::kAvx512 ? 16 : 8;
+    simd::ScopedLevel scoped(level);
+    std::uint64_t seed = 200;
+    for (const Shape& s : shapes) {
+      const Tensor a = randn({s.m, s.k}, ++seed);
+      const Tensor bt = randn({s.n, s.k}, ++seed);
+      const Bf16Tensor hbt = Bf16Tensor::from_tensor(bt);
+      const Tensor hbt_wide = hbt.to_tensor();
+      for (const int width : {1, 3}) {
+        parallel::set_num_threads(width);
+        const Tensor nt = matmul_nt(a, bt);
+        const Tensor nt_h = matmul_nt_bf16(a, hbt);
+        for (std::int64_t i = 0; i < s.m; ++i) {
+          for (std::int64_t j = 0; j < s.n; ++j) {
+            const auto a_at = [&](std::int64_t l) { return a.at(i, l); };
+            const auto b_at = [&](std::int64_t l) { return bt.at(j, l); };
+            const auto hb_at = [&](std::int64_t l) { return hbt_wide.at(j, l); };
+            const std::string where = std::string(simd::to_string(level)) + " [" +
+                                      std::to_string(s.m) + "," + std::to_string(s.k) + "," +
+                                      std::to_string(s.n) + "] @ " + std::to_string(width) +
+                                      " threads, element (" + std::to_string(i) + "," +
+                                      std::to_string(j) + ")";
+            ASSERT_EQ(nt.at(i, j), dot_sequence_element(a_at, b_at, s.k, w))
+                << "matmul_nt " << where;
+            ASSERT_EQ(nt_h.at(i, j), dot_sequence_element(a_at, hb_at, s.k, w))
+                << "matmul_nt_bf16 " << where;
+          }
+        }
+      }
+    }
+  }
+  if (checked_levels == 0) GTEST_SKIP() << "no AVX2/AVX-512 level on this build/CPU";
+}
+
+TEST(SimdTiledMatmul, NtRowRangesSplitOffTileBoundariesGiveIdenticalBytes) {
+  // Rows [0, 9) in one call, or as [0, 3) + [3, 9) (a split inside a row tile
+  // at every level), must overwrite the same non-zero C with the same bytes.
+  const std::int64_t m = 9, k = 131, n = 37;
+  const Tensor a = randn({m, k}, 31);
+  const Tensor bt = randn({n, k}, 32);
+  const Bf16Tensor hbt = Bf16Tensor::from_tensor(bt);
+  const Tensor c0 = randn({m, n}, 33);
+  for (const auto level : simd::supported_levels()) {
+    simd::ScopedLevel scoped(level);
+    const simd::Kernels& ks = simd::kernels();
+    const std::string tag = simd::to_string(level);
+    Tensor whole = c0, split = c0;
+    ks.matmul_nt_rows(a.data(), bt.data(), whole.data(), 0, m, n, k);
+    ks.matmul_nt_rows(a.data(), bt.data(), split.data(), 0, 3, n, k);
+    ks.matmul_nt_rows(a.data(), bt.data(), split.data(), 3, m, n, k);
+    expect_bitwise_equal(split, whole, "matmul_nt_rows split at row 3, " + tag);
+    Tensor whole_h = c0, split_h = c0;
+    ks.matmul_nt_bf16_rows(a.data(), hbt.data(), whole_h.data(), 0, m, n, k);
+    ks.matmul_nt_bf16_rows(a.data(), hbt.data(), split_h.data(), 0, 3, n, k);
+    ks.matmul_nt_bf16_rows(a.data(), hbt.data(), split_h.data(), 3, m, n, k);
+    expect_bitwise_equal(split_h, whole_h, "matmul_nt_bf16_rows split at row 3, " + tag);
+    // C is overwritten, not accumulated into.
+    expect_bitwise_equal(whole, matmul_nt(a, bt), "matmul_nt_rows vs matmul_nt, " + tag);
+  }
+}
+
 TEST(SimdWidthSweep, SoftmaxFamilyBitIdenticalAcrossThreadWidths) {
   // 9 rows x 131 logits with masked (-inf) entries, like a padded vocab shard.
   Tensor logits = randn({9, 131}, 5, 4.0f);

@@ -108,7 +108,6 @@ TEST(TensorOps, ElementwiseOps) {
   const Tensor a({3}, std::vector<float>{1, 2, 3});
   const Tensor b({3}, std::vector<float>{4, 5, 6});
   EXPECT_FLOAT_EQ(add(a, b).at(1), 7.0f);
-  EXPECT_FLOAT_EQ(sub(a, b).at(1), -3.0f);
   EXPECT_FLOAT_EQ(mul(a, b).at(1), 10.0f);
   EXPECT_FLOAT_EQ(scale(a, 2.0f).at(2), 6.0f);
   Tensor c = a;
@@ -164,13 +163,6 @@ TEST(TensorOps, CrossEntropyRejectsBadTargets) {
   EXPECT_THROW(cross_entropy_mean(logits, {3}), CheckError);
   EXPECT_THROW(cross_entropy_mean(logits, {-1}), CheckError);
   EXPECT_THROW(cross_entropy_mean(logits, {0, 1}), CheckError);
-}
-
-TEST(TensorOps, OneHotPlacesOnesAndToleratesOutOfRange) {
-  const Tensor g = one_hot({1, 5, 0}, 3);  // 5 is out of range -> zero row
-  EXPECT_FLOAT_EQ(g.at(0, 1), 1.0f);
-  EXPECT_FLOAT_EQ(sum_all(g), 2.0f);
-  EXPECT_FLOAT_EQ(g.at(1, 0) + g.at(1, 1) + g.at(1, 2), 0.0f);
 }
 
 TEST(TensorOps, TransposeAndSlices) {
