@@ -1,6 +1,6 @@
-// Wall-clock A/B of the schedule-driven executor against the synchronous
-// naive pipeline: same weights, same data, same devices — the only variable
-// is whether microbatches are pipelined per the generated schedules.
+// Wall-clock A/B of the pipelined schedules against the synchronous naive
+// schedule: same weights, same data, same devices, same executor — the only
+// variable is whether microbatches are pipelined.
 //
 // Emits BENCH_pipeline.json: per flavor, ns/iteration, speedup over the
 // naive baseline, and each device's idle fraction as measured by the
@@ -8,12 +8,10 @@
 // idle is a lower bound). A second section prices the numeric guardrails:
 // the same pipelined run at VOCAB_GUARD_LEVEL 0/1/2, so the fence's cost —
 // and level 0's zero-overhead claim — is a number in the JSON, not a
-// promise in a doc. An `executor_dispatch` section A/Bs the struct-walking
-// executor against the bytecode interpreter (ns/iter + per-device idle) —
-// the two backends are bit-identical, so the delta is pure dispatch cost.
-// A `transport` section A/Bs the comm backends (threads vs shm rings vs tcp
-// loopback sockets) on the same schedule: all three are bit-identical by
-// construction, so the deltas price serialization + kernel crossings.
+// promise in a doc. A `transport` section A/Bs the comm backends (threads
+// vs shm rings vs tcp loopback sockets) on the same schedule: all three are
+// bit-identical by construction, so the deltas price serialization + kernel
+// crossings.
 //
 // Usage: bench_pipeline_wallclock [--json <path>] [--p <devices>]
 //                                 [--m <microbatches>] [--iters <n>]
@@ -58,7 +56,7 @@ struct Result {
   double speedup_vs_naive = 0.0;
   // Measured per-device bubble fraction (executor idle / wall). Comm waits
   // inside compute ops count as busy, so this is a lower bound on the true
-  // bubble. Empty for the naive baseline.
+  // bubble.
   std::vector<double> bubble;
 };
 
@@ -113,44 +111,6 @@ GuardOverhead run_guard_overhead(const GptWeights& weights, const std::vector<Sa
   }
   ::unsetenv("VOCAB_GUARD_LEVEL");
   return g;
-}
-
-/// Struct-walking executor vs the bytecode interpreter on the same schedule:
-/// ns/iter and per-device idle for each backend. The dispatch paths differ
-/// (Op-struct traversal vs fetch-decode over compiled instructions with
-/// token mailboxes) but the numerics are bit-identical, so any delta here is
-/// pure dispatch overhead.
-struct DispatchAb {
-  std::string flavor;
-  double ns_structs = 0.0, ns_program = 0.0;
-  std::vector<double> idle_structs, idle_program;
-};
-
-DispatchAb run_dispatch_ab(const GptWeights& weights, const std::vector<Sample>& mbs,
-                           int p, const Flavor& f, int iters) {
-  DispatchAb ab;
-  ab.flavor = f.key;
-  for (const ExecutorBackend backend : {ExecutorBackend::kStructs, ExecutorBackend::kProgram}) {
-    PipelineTrainer trainer(weights, p, f.algo, f.flavor);
-    trainer.set_executor_backend(backend);
-    trainer.train_iteration(mbs, 0.05f);  // warmup
-    const auto t0 = Clock::now();
-    for (int i = 0; i < iters; ++i) trainer.train_iteration(mbs, 0.05f);
-    const double ns =
-        std::chrono::duration<double, std::nano>(Clock::now() - t0).count() / iters;
-    std::vector<double> idle;
-    if (const ExecutorStats* stats = trainer.last_executor_stats()) {
-      for (int d = 0; d < p; ++d) idle.push_back(stats->idle_fraction(d));
-    }
-    if (backend == ExecutorBackend::kStructs) {
-      ab.ns_structs = ns;
-      ab.idle_structs = std::move(idle);
-    } else {
-      ab.ns_program = ns;
-      ab.idle_program = std::move(idle);
-    }
-  }
-  return ab;
 }
 
 /// Comm backends on the same schedule: in-process threads (mutex+condvar
@@ -299,8 +259,7 @@ std::vector<SearchBenchRow> run_schedule_search(const GptWeights& weights,
 }
 
 std::string render_json(const std::vector<Result>& results, const GuardOverhead& guard,
-                        const MixedPrecisionAb& mp, const DispatchAb& dispatch,
-                        const TransportAb& tab,
+                        const MixedPrecisionAb& mp, const TransportAb& tab,
                         const std::vector<SearchBenchRow>& search_rows, int p, int m) {
   // Record the measurement machine: overlap can only buy wall-clock when the
   // p device threads have >= p cores to land on (see DESIGN.md §10).
@@ -365,31 +324,10 @@ std::string render_json(const std::vector<Result>& results, const GuardOverhead&
   out += buf;
   const double denom = std::max(std::abs(mp.loss_fp32), 1e-12f);
   std::snprintf(buf, sizeof(buf),
-                "\"loss_fp32\": %.6f, \"loss_bf16\": %.6f, \"rel_loss_diff\": %.4f}\n",
+                "\"loss_fp32\": %.6f, \"loss_bf16\": %.6f, \"rel_loss_diff\": %.4f},\n",
                 static_cast<double>(mp.loss_fp32), static_cast<double>(mp.loss_bf16),
                 std::abs(mp.loss_bf16 - mp.loss_fp32) / denom);
   out += buf;
-  out.back() = ',';  // keep appending after the mixed_precision object
-  out += "\n";
-  std::snprintf(buf, sizeof(buf),
-                "  \"executor_dispatch\": {\"flavor\": \"%s\", \"ns_per_iter_structs\": %.0f, "
-                "\"ns_per_iter_program\": %.0f, \"program_overhead\": %.4f, ",
-                dispatch.flavor.c_str(), dispatch.ns_structs, dispatch.ns_program,
-                dispatch.ns_structs > 0.0 ? dispatch.ns_program / dispatch.ns_structs - 1.0
-                                          : 0.0);
-  out += buf;
-  const auto idle_array = [&](const char* key, const std::vector<double>& idle) {
-    out += std::string("\"") + key + "\": [";
-    for (std::size_t d = 0; d < idle.size(); ++d) {
-      std::snprintf(buf, sizeof(buf), "%s%.3f", d > 0 ? ", " : "", idle[d]);
-      out += buf;
-    }
-    out += "]";
-  };
-  idle_array("idle_fraction_structs", dispatch.idle_structs);
-  out += ", ";
-  idle_array("idle_fraction_program", dispatch.idle_program);
-  out += "},\n";
   // ns_per_iter 0 = backend unsupported on the measurement machine (shm
   // needs fork+shared mappings, tcp needs loopback sockets); overhead is
   // relative to the threads backend and 0 when the column is absent.
@@ -518,15 +456,6 @@ int run(int argc, char** argv) {
               guard.ns_per_iter[2] / 1e6,
               (guard.ns_per_iter[2] / guard.ns_per_iter[0] - 1.0) * 100.0);
 
-  // Struct-walking vs bytecode-interpreter dispatch on the paper's main
-  // schedule (same certified linearization either way — pure dispatch cost).
-  const DispatchAb dispatch = run_dispatch_ab(weights, mbs, p, flavors[2], iters);
-  std::printf("  executor dispatch (%s): structs %.2f ms/iter, program %.2f ms/iter (%+.2f%%)\n",
-              dispatch.flavor.c_str(), dispatch.ns_structs / 1e6, dispatch.ns_program / 1e6,
-              dispatch.ns_structs > 0.0
-                  ? (dispatch.ns_program / dispatch.ns_structs - 1.0) * 100.0
-                  : 0.0);
-
   // Comm-backend pricing (threads vs shm vs tcp) on the paper's main
   // schedule; unsupported backends print as such and record 0 in the JSON.
   const TransportAb tab = run_transport_ab(weights, mbs, p, flavors[2], iters);
@@ -572,7 +501,7 @@ int run(int argc, char** argv) {
       return 1;
     }
     const std::string json =
-        render_json(results, guard, mp, dispatch, tab, search_rows, p, m);
+        render_json(results, guard, mp, tab, search_rows, p, m);
     std::fwrite(json.data(), 1, json.size(), out);
     std::fclose(out);
     std::printf("wrote %s\n", json_path->c_str());

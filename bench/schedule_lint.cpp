@@ -3,7 +3,8 @@
 // face of src/analysis and src/program. A clean run certifies, without
 // simulating, that every shipped schedule is deadlock-free, semantically
 // ordered, memory balanced, and that the vocabulary schedules hold the
-// paper's peak activation closed forms (p / p+1 / p+2 microbatches).
+// paper's peak activation closed forms (p / p+1 / p+2 microbatches; 1 for
+// the synchronous naive schedule).
 //
 //   ./build/bench/schedule_lint            # table + nonzero exit on findings
 //   ./build/bench/schedule_lint --csv      # machine-readable table
@@ -109,6 +110,9 @@ std::vector<Case> build_cases(int p, std::int64_t v) {
   cases.push_back({build_gpipe(cm, p, uniform), -1.0});
   cases.push_back({build_gpipe_vocab(cm, p, OutputAlgo::Alg1), -1.0});
   cases.push_back({build_gpipe_vocab(cm, p, OutputAlgo::Alg2), -1.0});
+  // One microbatch in flight: the synchronous baseline holds one.
+  cases.push_back({build_naive_vocab(cm, p, OutputAlgo::Alg1), 1.0});
+  cases.push_back({build_naive_vocab(cm, p, OutputAlgo::Alg2), 1.0});
   if (p == 16 || p == 24 || p == 32) {  // the Table-2 presets
     const CostModel vh(preset_vhalf(p, 2048, v), HardwareModel{});
     cases.push_back({build_vhalf(vh, p), -1.0});

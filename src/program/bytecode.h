@@ -3,8 +3,8 @@
 // Per-device bytecode programs compiled from certified PipelineSchedules.
 //
 // A CompiledProgram is the executable artifact of one schedule: one flat
-// instruction lane per device, interpreted top-to-bottom with no dependency
-// graph left to walk at dispatch time. The op set is deliberately tiny —
+// instruction lane per device, read top-to-bottom with no dependency graph
+// left to walk. The op set is deliberately tiny —
 //
 //   CALL k          dispatch kernel k (a transformer/vocab pass) on this lane
 //   SEND t -> d     post completion token t into device d's mailbox (async)
@@ -15,17 +15,16 @@
 //   BARRIER b       block until every lane reached barrier b
 //   HALT            end of lane
 //
-// — so the interpreter's hot loop is a switch over eight opcodes, programs
-// serialize to a few KB with a stable content hash (cross-run schedule
-// caching, deterministic fault-harness replay), and — the point of the
-// exercise — a *second*, independent verifier (program_verifier.h) can
-// re-decide the schedule invariants directly on this artifact, making the
-// compiler translation-validated instead of trusted.
+// — so programs serialize to a few KB with a stable content hash, and — the
+// point of the exercise — a *second*, independent verifier
+// (program_verifier.h) can re-decide the schedule invariants directly on
+// this artifact, making the compiler translation-validated instead of
+// trusted.
 //
 // Kernel ids are the source schedule's op ids: the kernels table carries a
 // semantic snapshot (kind, device, stream, microbatch, chunk, memory deltas)
 // of every op, which is all the program verifier consumes; the executor
-// additionally uses the id to dispatch the original Op to its OpRunner.
+// runs the per-device kernel-id sequences (device_sequences) it compiles.
 
 #include <cstdint>
 #include <string>

@@ -18,7 +18,7 @@
 //       destination is the receiving lane (and vice versa): no orphaned
 //       mailbox tokens, no duplicate tags, no self-sends;
 //   (c) deadlock-freedom — a model check of the blocking ops: advance all
-//       lane program counters greedily under the interpreter's semantics
+//       lane program counters greedily under the instruction semantics
 //       (SEND asynchronous, RECV blocks on its token, COLL/BARRIER
 //       rendezvous). All blocking conditions are monotone — a posted token
 //       stays posted, rendezvous arrivals only accumulate — so execution is

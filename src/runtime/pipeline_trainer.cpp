@@ -13,7 +13,6 @@
 #include "cost/cost_model.h"
 #include "guard/grad_clip.h"
 #include "guard/tensor_stats.h"
-#include "parallel/thread_pool.h"
 #include "schedule/layer_assignment.h"
 #include "schedule/schedule_1f1b.h"
 #include "schedule/schedule_1f1b_vocab.h"
@@ -157,27 +156,12 @@ PipelineTrainer::PipelineTrainer(GptWeights weights, int p, OutputAlgo algo,
     group_ = std::make_unique<DeviceGroup>(p, kCommTimeoutFromEnv, transport);
     group_->set_abort_token(abort_);
   }
-  if (flavor_ == PipelineFlavor::Naive) {
-    for (int d = 0; d + 1 < p; ++d) {
-      fwd_.push_back(std::make_unique<Channel>(1024, kCommTimeoutFromEnv, transport));
-      bwd_.push_back(std::make_unique<Channel>(1024, kCommTimeoutFromEnv, transport));
-      fwd_.back()->set_abort_token(abort_);
-      bwd_.back()->set_abort_token(abort_);
-    }
-    const int per_device = parallel::num_threads() / p;
-    if (per_device >= 2) {
-      for (int d = 0; d < p; ++d) {
-        naive_pools_.push_back(std::make_unique<parallel::ThreadPool>(per_device));
-      }
-    }
-  } else {
-    // Scheduled path: one tag-addressed mailbox per device. Sends never
-    // rendezvous (capacity far exceeds the microbatches in flight), which is
-    // what lets transfers overlap the producer's next compute op.
-    for (int d = 0; d < p; ++d) {
-      mail_.push_back(std::make_unique<Channel>(1024, kCommTimeoutFromEnv, transport));
-      mail_.back()->set_abort_token(abort_);
-    }
+  // One tag-addressed mailbox per device. Sends never rendezvous (capacity
+  // far exceeds the microbatches in flight), which is what lets transfers
+  // overlap the producer's next compute op.
+  for (int d = 0; d < p; ++d) {
+    mail_.push_back(std::make_unique<Channel>(1024, kCommTimeoutFromEnv, transport));
+    mail_.back()->set_abort_token(abort_);
   }
   pos_embedding_ = std::move(weights.pos_embedding);
   pos_embedding_grad_ = Tensor(pos_embedding_.shape());
@@ -220,6 +204,9 @@ ScheduleExecutor& PipelineTrainer::executor_for(int m, bool with_clip) {
 
   PipelineSchedule sched;
   switch (flavor_) {
+    case PipelineFlavor::Naive:
+      sched = build_naive_vocab(cm, p_, algo_);
+      break;
     case PipelineFlavor::Baseline1F1B:
       sched = build_1f1b(cm, p_, uniform_assignment(config_.num_layers, p_));
       break;
@@ -256,8 +243,6 @@ ScheduleExecutor& PipelineTrainer::executor_for(int m, bool with_clip) {
       sched = best->schedule;
       break;
     }
-    case PipelineFlavor::Naive:
-      VOCAB_FAIL("the naive flavor does not execute a schedule");
   }
   selected_schedule_ = sched.name;
   if (with_clip) sched = guard::with_clip_collective(sched);
@@ -266,7 +251,6 @@ ScheduleExecutor& PipelineTrainer::executor_for(int m, bool with_clip) {
   auto ex = std::make_unique<ScheduleExecutor>(std::move(sched));
   ex->set_abort_token(abort_);
   ex->set_nan_fence(fence_);
-  if (backend_override_) ex->set_backend(*backend_override_);
   if (injector_ != nullptr) ex->set_fault_injector(injector_);
   if (watchdog_enabled_) ex->enable_watchdog(watchdog_config_);
   ex->set_comm_snapshot([this] {
@@ -308,11 +292,6 @@ void PipelineTrainer::set_schedule_tuning(const ScheduleTuning& tuning) {
   executors_.clear();
 }
 
-void PipelineTrainer::set_executor_backend(ExecutorBackend backend) {
-  backend_override_ = backend;
-  for (auto& [m, ex] : executors_) ex->set_backend(backend);
-}
-
 void PipelineTrainer::set_fault_injector(std::shared_ptr<FaultInjector> injector) {
   injector_ = std::move(injector);
   for (auto& [m, ex] : executors_) ex->set_fault_injector(injector_);
@@ -334,15 +313,11 @@ void PipelineTrainer::set_extra_snapshot(std::function<std::string()> snapshot) 
 }
 
 void PipelineTrainer::drain_comm() {
-  for (auto& c : fwd_) c->clear();
-  for (auto& c : bwd_) c->clear();
   for (auto& c : mail_) c->clear();
 }
 
 std::size_t PipelineTrainer::comm_in_flight() const {
   std::size_t total = 0;
-  for (const auto& c : fwd_) total += c->size();
-  for (const auto& c : bwd_) total += c->size();
   for (const auto& c : mail_) total += c->size();
   return total;
 }
@@ -521,7 +496,7 @@ void PipelineTrainer::compute_clip_device(int d) {
 }
 
 // ---------------------------------------------------------------------------
-// Scheduled execution: op dispatch.
+// Op dispatch.
 // ---------------------------------------------------------------------------
 
 /// One training iteration's in-flight state, dispatched by the executor.
@@ -530,6 +505,7 @@ void PipelineTrainer::compute_clip_device(int d) {
 struct PipelineTrainer::ScheduledIteration final : OpRunner {
   PipelineTrainer& tr;
   const std::vector<Sample>& mbs;
+  const OptimizerConfig& opt;
   float grad_scale;
   std::vector<float> losses;
 
@@ -546,8 +522,8 @@ struct PipelineTrainer::ScheduledIteration final : OpRunner {
   std::vector<DeviceState> state;
 
   ScheduledIteration(PipelineTrainer& trainer, const std::vector<Sample>& microbatches,
-                     float scale)
-      : tr(trainer), mbs(microbatches), grad_scale(scale),
+                     const OptimizerConfig& optimizer, float scale)
+      : tr(trainer), mbs(microbatches), opt(optimizer), grad_scale(scale),
         losses(microbatches.size(), 0.0f),
         state(static_cast<std::size_t>(trainer.p_)) {}
 
@@ -770,10 +746,14 @@ struct PipelineTrainer::ScheduledIteration final : OpRunner {
         break;
     }
   }
+
+  /// The device's optimizer step, on its own thread once its last op (the
+  /// clip all-reduce, when clipping) has run.
+  void finish_lane(int device) override { tr.optimizer_step_device(device, opt); }
 };
 
 // ---------------------------------------------------------------------------
-// Optimizer step (shared by both paths).
+// Optimizer step.
 // ---------------------------------------------------------------------------
 
 void PipelineTrainer::optimizer_step_device(int d, const OptimizerConfig& opt) {
@@ -781,9 +761,7 @@ void PipelineTrainer::optimizer_step_device(int d, const OptimizerConfig& opt) {
   ClipState& cs = clip_state_[static_cast<std::size_t>(d)];
   // Single-device layouts have no clip collective in the schedule; compute
   // the (local) clip decision lazily here. Multi-device runs arrive with it
-  // already computed — by the clipAR schedule op or the naive path's
-  // explicit collective — since reaching this point requires the device
-  // threads to have joined.
+  // already computed by the clipAR schedule op, the lane's last op.
   if (clip_active_ && !cs.computed) {
     VOCAB_CHECK(p_ == 1, "clip decision missing for device " << d << " of " << p_);
     compute_clip_device(d);
@@ -933,6 +911,21 @@ void PipelineTrainer::optimizer_step_device(int d, const OptimizerConfig& opt) {
 
 float PipelineTrainer::train_iteration(const std::vector<Sample>& microbatches,
                                        const OptimizerConfig& opt) {
+  return run_iteration(microbatches, opt, /*lane=*/-1);
+}
+
+float PipelineTrainer::train_iteration_lane(int rank, const std::vector<Sample>& microbatches,
+                                            const OptimizerConfig& opt) {
+  VOCAB_CHECK(rank >= 0 && rank < p_,
+              "lane rank " << rank << " out of range [0, " << p_ << ")");
+  VOCAB_CHECK(flavor_ != PipelineFlavor::Naive,
+              "lane mode drives the scheduled flavors only (not naive)");
+  VOCAB_CHECK(!mp_enabled_, "lane mode does not support mixed precision");
+  return run_iteration(microbatches, opt, rank);
+}
+
+float PipelineTrainer::run_iteration(const std::vector<Sample>& microbatches,
+                                     const OptimizerConfig& opt, int lane) {
   VOCAB_CHECK(!microbatches.empty(), "need at least one microbatch");
   // A failed iteration leaves partial gradients and in-flight mailbox state
   // behind; the token stays aborted to poison further use. Recovery means
@@ -943,255 +936,70 @@ float PipelineTrainer::train_iteration(const std::vector<Sample>& microbatches,
                        "checkpoint before training again");
   }
   // Reset per-iteration clip coordination while still single-threaded; device
-  // threads then each write only their own slot.
-  clip_active_ = opt.max_grad_norm > 0.0f || monitor_grad_norm_;
-  clip_max_norm_ = opt.max_grad_norm;
-  for (auto& cs : clip_state_) cs = ClipState{};
-  mp_iter_overflow_ = false;
-  const float loss = flavor_ == PipelineFlavor::Naive
-                         ? train_iteration_naive(microbatches, opt)
-                         : train_iteration_scheduled(microbatches, opt);
-  // The scaler reacts once per iteration, after every device agreed on the
-  // overflow verdict (device 0's step thread recorded it).
-  if (mp_enabled_) scaler_.update(mp_iter_overflow_);
-  return loss;
-}
-
-float PipelineTrainer::train_iteration_naive(const std::vector<Sample>& microbatches,
-                                             const OptimizerConfig& opt) {
-  const int m = static_cast<int>(microbatches.size());
-  // Mixed precision multiplies the loss-gradient scale by S; the optimizer
-  // phase divides S back out before stepping.
-  const float grad_scale =
-      (mp_enabled_ ? scaler_.scale() : 1.0f) /
-      (static_cast<float>(config_.seq_len) * static_cast<float>(m));
-
-  std::vector<float> losses(static_cast<std::size_t>(m), 0.0f);
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(p_));
-
-  auto device_main = [&](int d) {
-    parallel::ScopedPool scope(naive_pools_.empty() ? nullptr
-                                                    : naive_pools_[static_cast<std::size_t>(d)].get());
-    Device& dev = *devices_[static_cast<std::size_t>(d)];
-    const int phases = num_compute_phases(algo_);
-    const int barriers = num_barriers(algo_);
-    for (int mb = 0; mb < m; ++mb) {
-      const Sample& sample = microbatches[static_cast<std::size_t>(mb)];
-
-      // ---- input layer forward (vocab-parallel, all-reduced) --------------
-      if (fence_ != nullptr && fence_->active()) fence_->begin_op(d, "naive:fwd", mb);
-      Tensor x0 = dev.input->forward(mb, sample.tokens, *group_);
-      guard_boundary(d, x0, "input embedding");
-
-      // ---- transformer forward through this stage ---------------------------
-      Tensor x;
-      if (d == 0) {
-        add_inplace(x0, pos_embedding_);
-        x = std::move(x0);
-      } else {
-        x = fwd_[static_cast<std::size_t>(d - 1)]->recv_expect("fwd:" + std::to_string(mb));
-      }
-      Tensor y = dev.stack->forward(mb, x);
-      guard_boundary(d, y, "forward activation");
-      if (d + 1 < p_) {
-        maybe_quantize_comm(y);
-        fwd_[static_cast<std::size_t>(d)]->send("fwd:" + std::to_string(mb), y);
-      }
-
-      // ---- C0: broadcast the last stage's output to every shard -------------
-      Tensor x_last = d == p_ - 1 ? std::move(y) : Tensor();
-      group_->broadcast(d, p_ - 1, x_last, "C0:mb" + std::to_string(mb));
-
-      // ---- output layer S / barriers / T phases -----------------------------
-      if (fence_ != nullptr && fence_->active()) fence_->begin_op(d, "naive:output", mb);
-      dev.output->start_microbatch(mb, std::move(x_last), sample.targets, grad_scale);
-      for (int phase = 0; phase < phases; ++phase) {
-        dev.output->compute_phase(mb, phase);
-        if (phase == 0) {
-          guard_boundary(d, dev.output->mutable_logits(mb), "output-shard logits");
-        }
-        if (phase < barriers) dev.output->comm_barrier(mb, phase, *group_);
-      }
-      if (d == 0) losses[static_cast<std::size_t>(mb)] = dev.output->loss(mb);
-
-      // ---- transformer backward through this stage ---------------------------
-      Tensor grad_out;
-      if (d == p_ - 1) {
-        grad_out = dev.output->grad_x(mb);
-      } else {
-        grad_out = bwd_[static_cast<std::size_t>(d)]->recv_expect("bwd:" + std::to_string(mb));
-      }
-      dev.output->finish_microbatch(mb);
-      if (fence_ != nullptr && fence_->active()) fence_->begin_op(d, "naive:bwd", mb);
-      Tensor grad_in = dev.stack->backward(mb, grad_out);
-      guard_boundary(d, grad_in, "backward gradient");
-      if (d > 0) {
-        maybe_quantize_comm(grad_in);
-        bwd_[static_cast<std::size_t>(d - 1)]->send("bwd:" + std::to_string(mb), grad_in);
-      }
-
-      // ---- input layer backward (broadcast from the first stage) --------------
-      if (d == 0) add_inplace(pos_embedding_grad_, grad_in);
-      Tensor gin = d == 0 ? std::move(grad_in) : Tensor();
-      dev.input->backward(mb, gin, /*root=*/0, *group_);
-    }
-
-    // The clip all-reduce is a collective: every device thread must reach it
-    // before any can take its optimizer step.
-    if (clip_active_ && p_ > 1) compute_clip_device(d);
-    optimizer_step_device(d, opt);
-  };
-
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(p_));
-  for (int d = 0; d < p_; ++d) {
-    threads.emplace_back([&, d] {
-      try {
-        device_main(d);
-      } catch (const AbortedError&) {
-        // Secondary: a peer already aborted; keep the originating error.
-        errors[static_cast<std::size_t>(d)] = std::current_exception();
-      } catch (const std::exception& e) {
-        errors[static_cast<std::size_t>(d)] = std::current_exception();
-        abort_->abort(AbortReason{d, -1, e.what()});
-      } catch (...) {
-        errors[static_cast<std::size_t>(d)] = std::current_exception();
-        abort_->abort(AbortReason{d, -1, "non-standard exception"});
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  // Prefer the originating failure over peers' secondary AbortedErrors.
-  if (abort_->aborted()) {
-    drain_comm();
-    const int origin = abort_->reason().device;
-    if (origin >= 0 && origin < p_ && errors[static_cast<std::size_t>(origin)]) {
-      std::rethrow_exception(errors[static_cast<std::size_t>(origin)]);
-    }
-  }
-  for (const auto& e : errors) {
-    if (e) {
-      drain_comm();
-      std::rethrow_exception(e);
-    }
-  }
-
-  double total = 0.0;
-  for (const float l : losses) total += l;
-  return static_cast<float>(total / m);
-}
-
-float PipelineTrainer::train_iteration_scheduled(const std::vector<Sample>& microbatches,
-                                                 const OptimizerConfig& opt) {
-  const int m = static_cast<int>(microbatches.size());
-  const float grad_scale =
-      (mp_enabled_ ? scaler_.scale() : 1.0f) /
-      (static_cast<float>(config_.seq_len) * static_cast<float>(m));
-
-  ScheduleExecutor& executor = executor_for(m, clip_active_ && p_ > 1);
-  last_executor_ = &executor;
-
-  ScheduledIteration iteration(*this, microbatches, grad_scale);
-  try {
-    executor.run(iteration);
-  } catch (...) {
-    // Abort hygiene: a failed iteration must not leave payloads queued for a
-    // retry to mis-receive.
-    drain_comm();
-    throw;
-  }
-
-  // Optimizer phase: one thread per device, like the compute phase (the
-  // tied folded baseline exchanges its gradient over the mailboxes).
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(p_));
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(p_));
-  for (int d = 0; d < p_; ++d) {
-    threads.emplace_back([&, d] {
-      try {
-        optimizer_step_device(d, opt);
-      } catch (...) {
-        errors[static_cast<std::size_t>(d)] = std::current_exception();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  for (const auto& e : errors) {
-    if (e) {
-      drain_comm();
-      std::rethrow_exception(e);
-    }
-  }
-
-  double total = 0.0;
-  for (const float l : iteration.losses) total += l;
-  return static_cast<float>(total / m);
-}
-
-float PipelineTrainer::train_iteration_lane(int rank, const std::vector<Sample>& microbatches,
-                                            const OptimizerConfig& opt) {
-  VOCAB_CHECK(!microbatches.empty(), "need at least one microbatch");
-  VOCAB_CHECK(rank >= 0 && rank < p_,
-              "lane rank " << rank << " out of range [0, " << p_ << ")");
-  VOCAB_CHECK(flavor_ != PipelineFlavor::Naive,
-              "lane mode drives the scheduled flavors only (not naive)");
-  VOCAB_CHECK(!mp_enabled_, "lane mode does not support mixed precision");
-  if (abort_->aborted()) {
-    throw AbortedError(abort_->reason(),
-                       "trainer poisoned by an earlier failure — rebuild from a "
-                       "checkpoint before training again");
-  }
-  // Same per-iteration reset train_iteration does; every worker process runs
-  // it identically over its own trainer instance, so the group agrees on
+  // threads then each write only their own slot. Every lane-mode worker runs
+  // this reset identically over its own trainer, so the group agrees on
   // whether the schedule carries the clip collective.
   clip_active_ = opt.max_grad_norm > 0.0f || monitor_grad_norm_;
   clip_max_norm_ = opt.max_grad_norm;
   for (auto& cs : clip_state_) cs = ClipState{};
+  mp_iter_overflow_ = false;
 
   const int m = static_cast<int>(microbatches.size());
+  // Mixed precision multiplies the loss-gradient scale by S; the optimizer
+  // step divides S back out.
   const float grad_scale =
-      1.0f / (static_cast<float>(config_.seq_len) * static_cast<float>(m));
+      (mp_enabled_ ? scaler_.scale() : 1.0f) /
+      (static_cast<float>(config_.seq_len) * static_cast<float>(m));
 
   ScheduleExecutor& executor = executor_for(m, clip_active_ && p_ > 1);
   last_executor_ = &executor;
 
-  ScheduledIteration iteration(*this, microbatches, grad_scale);
+  ScheduledIteration iteration(*this, microbatches, opt, grad_scale);
   try {
-    executor.run_lane(iteration, rank);
+    if (lane < 0) {
+      executor.run(iteration);
+    } else {
+      executor.run_lane(iteration, lane);
+    }
   } catch (...) {
-    // Abort hygiene, lane edition: drain only this lane's mailbox — the
-    // peers' rings belong to live processes that drain their own.
-    mail_[static_cast<std::size_t>(rank)]->clear();
+    // Abort hygiene: a failed iteration must not leave payloads queued for a
+    // retry to mis-receive. A lane drains only its own mailbox — the peers'
+    // rings belong to live processes that drain their own.
+    if (lane < 0) {
+      drain_comm();
+    } else {
+      mail_[static_cast<std::size_t>(lane)]->clear();
+    }
     throw;
   }
 
-  optimizer_step_device(rank, opt);
-  if (clip_active_ && rank == 0) {
-    last_grad_norm_ = clip_state_[0].norm;
-  }
-
-  // Folded baseline: the schedule computes the losses on the last stage;
-  // forward them so the return value means the same thing on rank 0 as in
-  // the threaded path (where d==0 records them at C1 for vocab flavors).
-  if (!vocab_sharded() && p_ > 1) {
-    if (rank == p_ - 1) {
-      Tensor l({m});
-      for (int mb = 0; mb < m; ++mb) {
-        l.at(mb) = iteration.losses[static_cast<std::size_t>(mb)];
-      }
-      mail_[0]->send("lane:losses", std::move(l));
-    } else if (rank == 0) {
-      const Tensor l = mail_[0]->recv_tag("lane:losses");
-      for (int mb = 0; mb < m; ++mb) {
-        iteration.losses[static_cast<std::size_t>(mb)] = l.at(mb);
+  if (lane >= 0) {
+    // Folded baseline: the schedule computes the losses on the last stage;
+    // forward them so the return value means the same thing on rank 0 as in
+    // the threaded path (where d==0 records them at C1 for vocab flavors).
+    if (!vocab_sharded() && p_ > 1) {
+      if (lane == p_ - 1) {
+        Tensor l({m});
+        for (int mb = 0; mb < m; ++mb) {
+          l.at(mb) = iteration.losses[static_cast<std::size_t>(mb)];
+        }
+        mail_[0]->send("lane:losses", std::move(l));
+      } else if (lane == 0) {
+        const Tensor l = mail_[0]->recv_tag("lane:losses");
+        for (int mb = 0; mb < m; ++mb) {
+          iteration.losses[static_cast<std::size_t>(mb)] = l.at(mb);
+        }
       }
     }
+    // One fence per iteration: microbatch tags repeat across iterations, so
+    // no lane may race into iteration i+1's sends while a peer still owes
+    // iteration i receives. (group_ exists: lane mode is multi-device.)
+    if (group_ != nullptr) group_->barrier(lane, "lane:iter-fence");
   }
 
-  // One fence per iteration: microbatch tags repeat across iterations, so no
-  // lane may race into iteration i+1's sends while a peer still owes
-  // iteration i receives. (group_ exists: lane mode is multi-device.)
-  if (group_ != nullptr) group_->barrier(rank, "lane:iter-fence");
+  // The scaler reacts once per iteration, after every device agreed on the
+  // overflow verdict (device 0's step recorded it).
+  if (mp_enabled_) scaler_.update(mp_iter_overflow_);
 
   double total = 0.0;
   for (const float l : iteration.losses) total += l;

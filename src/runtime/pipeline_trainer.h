@@ -12,14 +12,13 @@
 // the paper's Megatron implementation uses, so dependency mistakes surface
 // as tag mismatches or deadlock timeouts rather than silent corruption.
 //
-// Two execution paths share the same shards and optimizer state:
-//   * Naive: the original synchronous loop — one microbatch at a time with a
-//     rendezvous broadcast per microbatch. No pipelining; kept as the A/B
-//     baseline the wall-clock bench compares against.
-//   * Scheduled: a generator-emitted PipelineSchedule (GPipe / 1F1B /
-//     1F1B-vocab / V-Half), statically verified, driven by the
-//     ScheduleExecutor — microbatches genuinely in flight together, P2P
-//     sends non-blocking, collective barriers overlapped with compute.
+// Every flavor is a generator-emitted PipelineSchedule (naive / GPipe /
+// 1F1B / 1F1B-vocab / V-Half / zero-bubble), statically verified and driven
+// by the ScheduleExecutor: p device threads, P2P sends non-blocking,
+// collective barriers overlapped with compute. Naive is the synchronous
+// schedule — one microbatch in flight at a time — kept as the A/B baseline
+// the wall-clock bench compares against. Each device thread takes its own
+// optimizer step after its last op, so an iteration spawns p threads once.
 
 #include <atomic>
 #include <cstdint>
@@ -27,7 +26,6 @@
 #include <limits>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -52,7 +50,7 @@ class Transport;
 
 /// Which execution strategy train_iteration uses.
 enum class PipelineFlavor {
-  Naive,         ///< synchronous per-microbatch loop (no pipelining)
+  Naive,         ///< synchronous vocab-parallel schedule (no pipelining)
   Baseline1F1B,  ///< plain 1F1B schedule, vocab layers whole on first/last stage
   Gpipe,         ///< GPipe + Vocabulary Parallelism schedule
   OneFOneBVocab, ///< 1F1B + Vocabulary Parallelism schedule (the paper's main result)
@@ -122,10 +120,9 @@ class PipelineTrainer {
   /// owns one trainer built over the same attached shm transport, and the
   /// cross-rank ordering that sibling threads provide under train_iteration
   /// comes from the transport's blocking recvs and collective rendezvous
-  /// instead. Scheduled flavors only (structs executor backend); mixed
-  /// precision and the naive flavor are not supported in lane mode. Returns
-  /// the mean loss (meaningful on rank 0; the folded baseline forwards its
-  /// last-stage losses to rank 0 first).
+  /// instead. Mixed precision and the naive flavor are not supported in
+  /// lane mode. Returns the mean loss (meaningful on rank 0; the folded
+  /// baseline forwards its last-stage losses to rank 0 first).
   float train_iteration_lane(int rank, const std::vector<Sample>& microbatches,
                              const OptimizerConfig& opt);
 
@@ -141,8 +138,7 @@ class PipelineTrainer {
   [[nodiscard]] PipelineFlavor flavor() const { return flavor_; }
   [[nodiscard]] const GptConfig& config() const { return config_; }
 
-  /// Stats of the most recent scheduled train_iteration (null for the Naive
-  /// flavor or before the first iteration).
+  /// Stats of the most recent train_iteration (null before the first).
   [[nodiscard]] const ExecutorStats* last_executor_stats() const;
 
   /// The trainer's shared abort token. The first device-thread failure in a
@@ -158,19 +154,14 @@ class PipelineTrainer {
   [[nodiscard]] const ScheduleTuning& schedule_tuning() const { return tuning_; }
 
   /// Name of the schedule the most recent executor ran (e.g. what Auto
-  /// picked); empty before the first scheduled iteration.
+  /// picked); empty before the first iteration.
   [[nodiscard]] const std::string& selected_schedule() const { return selected_schedule_; }
 
-  /// Select the dispatch backend (struct-walking vs bytecode interpreter)
-  /// for every cached and future executor. Both backends are bit-identical
-  /// numerically; default comes from VOCAB_EXECUTOR.
-  void set_executor_backend(ExecutorBackend backend);
-
-  /// Install a fault plan (scheduled flavors only; each executor op dispatch
-  /// consults it). The caller drives FaultInjector::begin_iteration.
+  /// Install a fault plan (each executor op dispatch consults it). The
+  /// caller drives FaultInjector::begin_iteration.
   void set_fault_injector(std::shared_ptr<FaultInjector> injector);
 
-  /// Run a stall watchdog inside every scheduled train_iteration; on a stall
+  /// Run a stall watchdog inside every train_iteration; on a stall
   /// past the deadline it aborts with a snapshot of per-device ops, mailbox
   /// occupancy and collective waiters.
   void enable_watchdog(WatchdogConfig config);
@@ -243,12 +234,13 @@ class PipelineTrainer {
   [[nodiscard]] int device_of_stage(int stage) const;
   TransformerStack& stack_of_stage(int stage) const;
 
-  float train_iteration_naive(const std::vector<Sample>& microbatches,
-                              const OptimizerConfig& opt);
-  float train_iteration_scheduled(const std::vector<Sample>& microbatches,
-                                  const OptimizerConfig& opt);
-  /// Per-device optimizer step; shared by both paths (the shards own their
-  /// parameters, so no optimizer communication is needed — §6.1).
+  /// The body of train_iteration (`lane` < 0: every device, on p threads)
+  /// and train_iteration_lane (`lane`: that rank only, on this thread).
+  float run_iteration(const std::vector<Sample>& microbatches, const OptimizerConfig& opt,
+                      int lane);
+  /// Per-device optimizer step, run on the device's thread after its last
+  /// op (the shards own their parameters, so no optimizer communication is
+  /// needed — §6.1).
   void optimizer_step_device(int d, const OptimizerConfig& opt);
   /// Build (or fetch the cached) executor for `m` microbatches; `with_clip`
   /// variants run the schedule with the appended clip all-reduce.
@@ -282,21 +274,12 @@ class PipelineTrainer {
   bool watchdog_enabled_ = false;
   std::vector<std::unique_ptr<Device>> devices_;
   std::unique_ptr<class DeviceGroup> group_;
-  // Naive path: fwd_[d] carries activations d -> d+1; bwd_[d] carries grads
-  // d+1 -> d. Scheduled path: mail_[d] is device d's tag-addressed mailbox.
-  std::vector<std::unique_ptr<class Channel>> fwd_;
-  std::vector<std::unique_ptr<class Channel>> bwd_;
-  std::vector<std::unique_ptr<class Channel>> mail_;
+  std::vector<std::unique_ptr<class Channel>> mail_;  // device d's tag-addressed mailbox
   // Keyed by (microbatch count, clip collective appended).
   std::map<std::pair<int, bool>, std::unique_ptr<ScheduleExecutor>> executors_;
   ScheduleExecutor* last_executor_ = nullptr;
-  std::optional<ExecutorBackend> backend_override_;  // unset: VOCAB_EXECUTOR
   ScheduleTuning tuning_;
   std::string selected_schedule_;
-  // Naive path: the same per-device slice of the intra-op thread budget the
-  // executor gives its device threads, so every flavor models p devices of
-  // equal fixed capacity (idle devices cannot lend cores to busy ones).
-  std::vector<std::unique_ptr<parallel::ThreadPool>> naive_pools_;
   Tensor pos_embedding_;       // whole, on device 0 (paper §6.4)
   Tensor pos_embedding_grad_;
   ParamOptimizer pos_opt_;
@@ -307,8 +290,8 @@ class PipelineTrainer {
   bool monitor_grad_norm_ = false;
   float last_grad_norm_ = std::numeric_limits<float>::quiet_NaN();
   // Per-iteration clip coordination. Reset single-threaded at iteration
-  // start; clip_state_[d] is then written only by device d's thread, and the
-  // optimizer phase reads it after the executor's thread join.
+  // start; clip_state_[d] is then written and read only by device d's thread
+  // (its clipAR op, then its optimizer step).
   struct ClipState {
     bool computed = false;
     float scale = 1.0f;
@@ -324,7 +307,7 @@ class PipelineTrainer {
   bool mp_enabled_ = false;
   bool mp_bf16_comm_ = false;
   LossScaler scaler_;
-  bool mp_iter_overflow_ = false;          // written by device 0's step thread
+  bool mp_iter_overflow_ = false;          // written by device 0's optimizer step
   std::atomic<std::size_t> comm_bf16_bytes_{0};
 };
 

@@ -1,16 +1,11 @@
 #include "runtime/schedule_executor.h"
 
+#include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <exception>
-#include <map>
-#include <mutex>
-#include <set>
 #include <thread>
 #include <utility>
 
-#include "comm/channel.h"  // default_comm_timeout
-#include "common/env.h"
 #include "common/error.h"
 #include "parallel/thread_pool.h"
 #include "program/compiler.h"
@@ -26,90 +21,13 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-ExecutorBackend backend_from_env() {
-  const std::string choice =
-      choice_from_env("VOCAB_EXECUTOR", "structs", {"structs", "program"});
-  return choice == "program" ? ExecutorBackend::kProgram : ExecutorBackend::kStructs;
-}
-
 }  // namespace
-
-const char* to_string(ExecutorBackend backend) {
-  switch (backend) {
-    case ExecutorBackend::kStructs: return "structs";
-    case ExecutorBackend::kProgram: return "program";
-  }
-  return "?";
-}
 
 double ExecutorStats::idle_fraction(int device) const {
   if (wall_seconds <= 0.0) return 0.0;
   const double busy = compute_seconds[static_cast<std::size_t>(device)];
   return busy >= wall_seconds ? 0.0 : 1.0 - busy / wall_seconds;
 }
-
-/// Per-run interpreter comm state: one tag mailbox per lane (SEND posts,
-/// RECV blocks) and shared barrier arrival counts. Waits slice their comm
-/// timeout by kAbortPollInterval so an abort anywhere unblocks them fast.
-struct ScheduleExecutor::TokenBoxes {
-  struct Box {
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::multiset<int> tags;
-  };
-
-  explicit TokenBoxes(int num_lanes) : boxes(static_cast<std::size_t>(num_lanes)) {}
-
-  std::vector<Box> boxes;
-  std::mutex barrier_mutex;
-  std::condition_variable barrier_cv;
-  std::map<int, int> barrier_arrivals;  // barrier id -> lanes arrived
-
-  void post(int lane, int tag) {
-    Box& box = boxes[static_cast<std::size_t>(lane)];
-    {
-      const std::lock_guard<std::mutex> lock(box.mutex);
-      box.tags.insert(tag);
-    }
-    box.cv.notify_all();
-  }
-
-  void wait(int lane, int tag, const AbortToken& token, const std::string& context) {
-    Box& box = boxes[static_cast<std::size_t>(lane)];
-    const auto t0 = Clock::now();
-    const auto deadline = t0 + default_comm_timeout();
-    std::unique_lock<std::mutex> lock(box.mutex);
-    for (;;) {
-      const auto it = box.tags.find(tag);
-      if (it != box.tags.end()) {
-        box.tags.erase(it);
-        return;
-      }
-      token.throw_if_aborted(context);
-      if (Clock::now() >= deadline) {
-        throw DeadlockError("interpreter RECV timed out: " + context);
-      }
-      box.cv.wait_for(lock, kAbortPollInterval);
-    }
-  }
-
-  void barrier(int id, int num_lanes, const AbortToken& token, const std::string& context) {
-    std::unique_lock<std::mutex> lock(barrier_mutex);
-    const int arrived = ++barrier_arrivals[id];
-    if (arrived >= num_lanes) {
-      barrier_cv.notify_all();
-      return;
-    }
-    const auto deadline = Clock::now() + default_comm_timeout();
-    while (barrier_arrivals[id] < num_lanes) {
-      token.throw_if_aborted(context);
-      if (Clock::now() >= deadline) {
-        throw DeadlockError("interpreter BARRIER timed out: " + context);
-      }
-      barrier_cv.wait_for(lock, kAbortPollInterval);
-    }
-  }
-};
 
 ScheduleExecutor::ScheduleExecutor(PipelineSchedule schedule, int total_threads)
     : schedule_(std::move(schedule)) {
@@ -122,7 +40,6 @@ ScheduleExecutor::ScheduleExecutor(PipelineSchedule schedule, int total_threads)
   program_ = program::compile_schedule(schedule_);
   program::verify_program_or_throw(program_, &schedule_);
   sequences_ = program::device_sequences(program_);
-  backend_ = backend_from_env();
 
   // Partition the intra-op thread budget across the device threads.
   const int total = total_threads > 0 ? total_threads : parallel::num_threads();
@@ -168,174 +85,97 @@ void ScheduleExecutor::set_peer_probe(std::function<std::vector<WatchdogPeerLink
   peer_probe_ = std::move(probe);
 }
 
-void ScheduleExecutor::set_program(program::CompiledProgram prog) {
-  program::verify_program_or_throw(prog, &schedule_);
-  const std::vector<std::vector<int>> sequences = program::device_sequences(prog);
-  VOCAB_CHECK(sequences == sequences_,
-              "loaded program '" << prog.schedule_name
-                                 << "' dispatches different per-device kernel sequences "
-                                    "than the compiled schedule '"
-                                 << schedule_.name << "'");
-  program_ = std::move(prog);
-}
+/// How one lane's run ended. A kKilled lane raised no abort: the fault
+/// model for a silently-dying rank is that only the watchdog's stall
+/// deadline can discover it.
+struct ScheduleExecutor::LaneResult {
+  enum class Outcome { kOk, kFailed, kAborted, kKilled };
+  Outcome outcome = Outcome::kOk;
+  std::exception_ptr error;
+  Clock::time_point ops_end;  // when the lane's last op returned (or failed)
+};
 
-namespace {
-
-/// The per-op dispatch protocol shared by both backends: abort check,
-/// watchdog heartbeat, fault injection, fence attribution, compute timing.
-void dispatch_op(OpRunner& runner, const Op& op, int device, AbortToken& token,
-                 Watchdog* watchdog, FaultInjector* injector, guard::NanFence* fence,
-                 double& compute_seconds) {
-  // Devices busy computing (not blocked in a wait) still stop at the next
-  // op boundary after a peer fails.
-  token.throw_if_aborted("device " + std::to_string(device) + " before op '" + op.label +
-                         "'");
-  if (watchdog != nullptr) watchdog->heartbeat(device, op.id);
-  if (injector != nullptr) injector->on_op(device, op.id, op.label, &token);
-  if (fence != nullptr && fence->active()) fence->begin_op(device, op.label, op.microbatch);
-  if (op.stream == Stream::Compute) {
-    const auto op_t0 = Clock::now();
-    runner.run_op(op);
-    compute_seconds += seconds_since(op_t0);
-  } else {
-    runner.run_op(op);
-  }
-}
-
-}  // namespace
-
-void ScheduleExecutor::run_structs_lane(OpRunner& runner, int device, Watchdog* watchdog,
-                                        AbortToken& token, double& compute_seconds,
-                                        int& current_op) {
-  for (const int id : sequences_[static_cast<std::size_t>(device)]) {
-    current_op = id;
-    dispatch_op(runner, schedule_.op(id), device, token, watchdog, injector_.get(),
-                fence_.get(), compute_seconds);
-  }
-}
-
-void ScheduleExecutor::run_program_lane(OpRunner& runner, int device, Watchdog* watchdog,
-                                        AbortToken& token, TokenBoxes& boxes,
-                                        double& compute_seconds, int& current_op) {
-  const std::vector<program::Instr>& code = program_.lanes[static_cast<std::size_t>(device)];
-  for (std::size_t pc = 0; pc < code.size(); ++pc) {
-    const program::Instr& in = code[pc];
-    switch (in.op) {
-      case program::Opcode::kCall:
-        current_op = in.a;
-        dispatch_op(runner, schedule_.op(in.a), device, token, watchdog, injector_.get(),
-                    fence_.get(), compute_seconds);
-        break;
-      case program::Opcode::kColl:
-        // The OpRunner rendezvouses collective members itself (DeviceGroup);
-        // the instruction only fixes this lane's issue position.
-        current_op = in.b;
-        dispatch_op(runner, schedule_.op(in.b), device, token, watchdog, injector_.get(),
-                    fence_.get(), compute_seconds);
-        break;
-      case program::Opcode::kSend:
-        boxes.post(in.b, in.a);
-        break;
-      case program::Opcode::kRecv:
-        boxes.wait(device, in.a, token,
-                   "device " + std::to_string(device) + " pc " + std::to_string(pc) +
-                       " RECV tag " + std::to_string(in.a) + " from lane " +
-                       std::to_string(in.b));
-        break;
-      case program::Opcode::kAlloc:
-      case program::Opcode::kFree:
-        // Memory accounting instructions carry no runtime action here; the
-        // program verifier has already proven their balance and peak.
-        break;
-      case program::Opcode::kBarrier:
-        boxes.barrier(in.a, schedule_.num_devices, token,
-                      "device " + std::to_string(device) + " pc " + std::to_string(pc) +
-                          " BARRIER " + std::to_string(in.a));
-        break;
-      case program::Opcode::kHalt:
-        return;
+void ScheduleExecutor::run_device(OpRunner& runner, int device, AbortToken& token,
+                                  Watchdog* watchdog, LaneResult& result) {
+  using Outcome = LaneResult::Outcome;
+  const auto lane = static_cast<std::size_t>(device);
+  // Route this lane's parallel_for to its private pool slice (or force
+  // serial when the machine is narrower than the pipeline).
+  parallel::ScopedPool scope(pools_.empty() ? nullptr : pools_[lane].get());
+  double compute = 0.0;
+  int current_op = -1;
+  bool ops_done = false;
+  // Stats time ops only: the clock stops before the end-of-lane hook.
+  const auto stop_clock = [&] {
+    stats_.compute_seconds[lane] = compute;
+    result.ops_end = Clock::now();
+  };
+  // Only the lane whose abort() wins is the originating failure; a losing
+  // abort means this exception is secondary fallout (e.g. a poisoned-
+  // communicator error raised after a peer already aborted).
+  const auto originate = [&](const std::string& what) {
+    return token.abort(AbortReason{device, current_op, what}) ? Outcome::kFailed
+                                                              : Outcome::kAborted;
+  };
+  try {
+    for (const int id : sequences_[lane]) {
+      current_op = id;
+      const Op& op = schedule_.op(id);
+      // Devices busy computing (not blocked in a wait) still stop at the
+      // next op boundary after a peer fails.
+      token.throw_if_aborted("device " + std::to_string(device) + " before op '" + op.label +
+                             "'");
+      if (watchdog != nullptr) watchdog->heartbeat(device, id);
+      if (injector_ != nullptr) injector_->on_op(device, id, op.label, &token);
+      if (fence_ != nullptr && fence_->active()) fence_->begin_op(device, op.label, op.microbatch);
+      if (op.stream == Stream::Compute) {
+        const auto op_t0 = Clock::now();
+        runner.run_op(op);
+        compute += seconds_since(op_t0);
+      } else {
+        runner.run_op(op);
+      }
     }
+    ops_done = true;
+    stop_clock();
+    if (watchdog != nullptr) watchdog->mark_done(device);
+    current_op = -1;
+    token.throw_if_aborted("device " + std::to_string(device) + " before its end-of-lane hook");
+    runner.finish_lane(device);
+    return;
+  } catch (const ThreadKilledFault&) {
+    // Simulated silent thread death: no abort, no mark_done — the watchdog
+    // must discover the stall from the missing heartbeats.
+    result.outcome = Outcome::kKilled;
+    result.error = std::current_exception();
+  } catch (const AbortedError&) {
+    result.outcome = Outcome::kAborted;
+    result.error = std::current_exception();
+  } catch (const std::exception& e) {
+    result.outcome = originate(e.what());
+    result.error = std::current_exception();
+  } catch (...) {
+    result.outcome = originate("non-standard exception");
+    result.error = std::current_exception();
   }
+  if (!ops_done) stop_clock();
+  if (watchdog != nullptr && result.outcome != Outcome::kKilled) watchdog->mark_done(device);
 }
+
+void ScheduleExecutor::run(OpRunner& runner) { execute(runner, -1); }
 
 void ScheduleExecutor::run_lane(OpRunner& runner, int device) {
   const int p = schedule_.num_devices;
   VOCAB_CHECK(device >= 0 && device < p, "lane device " << device << " out of range [0, " << p
                                                         << ")");
-  VOCAB_CHECK(backend_ == ExecutorBackend::kStructs,
-              "run_lane requires the structs backend: the program interpreter's token "
-              "mailboxes are in-process and cannot span worker processes");
-  stats_.wall_seconds = 0.0;
-  stats_.compute_seconds.assign(static_cast<std::size_t>(p), 0.0);
-  watchdog_report_.clear();
-
-  const std::shared_ptr<AbortToken> token =
-      abort_ != nullptr ? abort_ : std::make_shared<AbortToken>();
-  VOCAB_CHECK(!token->aborted(),
-              "executor started on an aborted runtime: " << token->reason().what
-                                                         << " — rebuild before retrying");
-
-  std::unique_ptr<Watchdog> watchdog;
-  if (watchdog_enabled_) {
-    watchdog = std::make_unique<Watchdog>(
-        p, watchdog_config_, token,
-        [this](int d, int op_id) {
-          const Op& op = schedule_.op(op_id);
-          return "op '" + op.label + "' (id " + std::to_string(op_id) + ", " +
-                 to_string(op.kind) + ") on device " + std::to_string(d);
-        },
-        comm_snapshot_);
-    if (peer_probe_) watchdog->set_peer_probe(peer_probe_);
-    // The other lanes live in other processes and never heartbeat here; the
-    // local watchdog only monitors this lane (peer death is the transport's
-    // heartbeat monitor's job).
-    for (int d = 0; d < p; ++d) {
-      if (d != device) watchdog->mark_done(d);
-    }
-    watchdog->start();
-  }
-
-  const auto t0 = Clock::now();
-  parallel::ScopedPool scope(
-      pools_.empty() ? nullptr : pools_[static_cast<std::size_t>(device)].get());
-  double compute = 0.0;
-  int current_op = -1;
-  try {
-    run_structs_lane(runner, device, watchdog.get(), *token, compute, current_op);
-    if (watchdog != nullptr) watchdog->mark_done(device);
-  } catch (const AbortedError&) {
-    if (watchdog != nullptr) {
-      watchdog->mark_done(device);
-      watchdog->stop();
-      watchdog_report_ = watchdog->last_report();
-    }
-    stats_.compute_seconds[static_cast<std::size_t>(device)] = compute;
-    stats_.wall_seconds = seconds_since(t0);
-    throw;
-  } catch (const std::exception& e) {
-    token->abort(AbortReason{device, current_op, e.what()});
-    if (watchdog != nullptr) {
-      watchdog->mark_done(device);
-      watchdog->stop();
-      watchdog_report_ = watchdog->last_report();
-    }
-    stats_.compute_seconds[static_cast<std::size_t>(device)] = compute;
-    stats_.wall_seconds = seconds_since(t0);
-    throw;
-  }
-  if (watchdog != nullptr) {
-    watchdog->stop();
-    watchdog_report_ = watchdog->last_report();
-  }
-  stats_.compute_seconds[static_cast<std::size_t>(device)] = compute;
-  stats_.wall_seconds = seconds_since(t0);
+  execute(runner, device);
 }
 
-void ScheduleExecutor::run(OpRunner& runner) {
+void ScheduleExecutor::execute(OpRunner& runner, int only_device) {
+  using Outcome = LaneResult::Outcome;
   const int p = schedule_.num_devices;
   stats_.wall_seconds = 0.0;
   stats_.compute_seconds.assign(static_cast<std::size_t>(p), 0.0);
-  watchdog_report_.clear();
 
   // A run over an already-aborted token would have every comm wait throw
   // immediately; the owner must rebuild (or reset) first.
@@ -356,82 +196,44 @@ void ScheduleExecutor::run(OpRunner& runner) {
         },
         comm_snapshot_);
     if (peer_probe_) watchdog->set_peer_probe(peer_probe_);
+    // In lane mode the other lanes live in other processes and never
+    // heartbeat here; the local watchdog only monitors this lane (peer death
+    // is the transport's heartbeat monitor's job).
+    for (int d = 0; d < p; ++d) {
+      if (only_device >= 0 && d != only_device) watchdog->mark_done(d);
+    }
     watchdog->start();
   }
 
-  // Fresh interpreter comm state per run: tokens from a previous (possibly
-  // aborted) run must not satisfy this run's RECVs.
-  TokenBoxes boxes(p);
-
-  // Per-device outcome of this run. kKilled threads raise no abort: the
-  // fault model for a silently-dying rank is that only the watchdog's stall
-  // deadline can discover it.
-  enum class Outcome { kOk, kFailed, kAborted, kKilled };
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(p));
-  std::vector<Outcome> outcomes(static_cast<std::size_t>(p), Outcome::kOk);
-
+  std::vector<LaneResult> results(static_cast<std::size_t>(p));
   const auto t0 = Clock::now();
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(p));
+  if (only_device >= 0) {
+    run_device(runner, only_device, *token, watchdog.get(),
+               results[static_cast<std::size_t>(only_device)]);
+  } else {
+    std::vector<std::thread> threads;
+    threads.reserve(static_cast<std::size_t>(p));
+    for (int d = 0; d < p; ++d) {
+      threads.emplace_back([&, d] {
+        run_device(runner, d, *token, watchdog.get(), results[static_cast<std::size_t>(d)]);
+      });
+    }
+    for (auto& t : threads) t.join();
+  }
+  if (watchdog != nullptr) watchdog->stop();
   for (int d = 0; d < p; ++d) {
-    threads.emplace_back([&, d] {
-      // Route this device thread's parallel_for to its private pool slice
-      // (or force serial when the machine is narrower than the pipeline).
-      parallel::ScopedPool scope(pools_.empty() ? nullptr : pools_[static_cast<std::size_t>(d)].get());
-      double compute = 0.0;
-      int current_op = -1;
-      try {
-        if (backend_ == ExecutorBackend::kProgram) {
-          run_program_lane(runner, d, watchdog.get(), *token, boxes, compute, current_op);
-        } else {
-          run_structs_lane(runner, d, watchdog.get(), *token, compute, current_op);
-        }
-        if (watchdog != nullptr) watchdog->mark_done(d);
-      } catch (const ThreadKilledFault&) {
-        // Simulated silent thread death: no abort, no mark_done — the
-        // watchdog must discover the stall from the missing heartbeats.
-        errors[static_cast<std::size_t>(d)] = std::current_exception();
-        outcomes[static_cast<std::size_t>(d)] = Outcome::kKilled;
-      } catch (const AbortedError&) {
-        errors[static_cast<std::size_t>(d)] = std::current_exception();
-        outcomes[static_cast<std::size_t>(d)] = Outcome::kAborted;
-        if (watchdog != nullptr) watchdog->mark_done(d);
-      } catch (const std::exception& e) {
-        errors[static_cast<std::size_t>(d)] = std::current_exception();
-        // Only the thread whose abort() wins is the originating failure; a
-        // losing abort means this exception is secondary fallout (e.g. a
-        // poisoned-communicator error raised after a peer already aborted).
-        outcomes[static_cast<std::size_t>(d)] =
-            token->abort(AbortReason{d, current_op, e.what()}) ? Outcome::kFailed
-                                                               : Outcome::kAborted;
-        if (watchdog != nullptr) watchdog->mark_done(d);
-      } catch (...) {
-        errors[static_cast<std::size_t>(d)] = std::current_exception();
-        outcomes[static_cast<std::size_t>(d)] =
-            token->abort(AbortReason{d, current_op, "non-standard exception"})
-                ? Outcome::kFailed
-                : Outcome::kAborted;
-        if (watchdog != nullptr) watchdog->mark_done(d);
-      }
-      stats_.compute_seconds[static_cast<std::size_t>(d)] = compute;
-    });
+    if (only_device >= 0 && d != only_device) continue;
+    stats_.wall_seconds = std::max(
+        stats_.wall_seconds,
+        std::chrono::duration<double>(results[static_cast<std::size_t>(d)].ops_end - t0).count());
   }
-  for (auto& t : threads) t.join();
-  if (watchdog != nullptr) {
-    watchdog->stop();
-    watchdog_report_ = watchdog->last_report();
-  }
-  stats_.wall_seconds = seconds_since(t0);
 
   // Rethrow the originating failure, not a peer's secondary AbortedError.
   // Priority: a real op failure, then a silent kill, then the first abort
   // observation (e.g. all survivors of a watchdog-detected stall).
   for (const Outcome target : {Outcome::kFailed, Outcome::kKilled, Outcome::kAborted}) {
-    for (int d = 0; d < p; ++d) {
-      if (outcomes[static_cast<std::size_t>(d)] == target &&
-          errors[static_cast<std::size_t>(d)] != nullptr) {
-        std::rethrow_exception(errors[static_cast<std::size_t>(d)]);
-      }
+    for (const LaneResult& r : results) {
+      if (r.outcome == target) std::rethrow_exception(r.error);
     }
   }
 }

@@ -26,25 +26,21 @@
 // incomplete op in the order always has its producers completed, so the
 // execution cannot deadlock.
 //
-// Backends
-// --------
+// Compilation as a static check
+// -----------------------------
 // The executor compiles its schedule to per-device bytecode at construction
 // and statically re-verifies the program against the source (translation
-// validation; see src/program). run() then dispatches through one of two
-// backends, selected by VOCAB_EXECUTOR (structs|program) or set_backend():
+// validation; see src/program). run() walks the compiled program's
+// projected op-id sequences; cross-device ordering emerges from the
+// trainer's blocking channel recvs and collective rendezvous.
 //
-//   kStructs  — walk the projected op-id sequences directly (historical
-//               path). Cross-device ordering is implicit: it emerges from
-//               the trainer's blocking channel recvs.
-//   kProgram  — interpret the compiled bytecode: CALL/COLL dispatch the
-//               source op to the OpRunner exactly as kStructs does, while
-//               SEND/RECV additionally enforce every cross-device dependency
-//               edge through abort-aware token mailboxes. Both backends
-//               dispatch the identical per-device kernel sequence (they are
-//               projections of the same certified linearization), so the
-//               numerics are bit-identical; tokens only add synchronization,
-//               and every token edge points backward in the linearization,
-//               so no new deadlock is introduced.
+// One lane body
+// -------------
+// run() is p threads of the same per-lane body that run_lane() runs on the
+// calling thread. That body owns the failure protocol (abort, silent kill,
+// non-standard exception), the watchdog's heartbeats, the lane's thread
+// pool and its stats; after the lane's last op it calls the runner's
+// end-of-lane hook (the trainer's optimizer step) inside the same protocol.
 //
 // Thread-pool partitioning
 // ------------------------
@@ -82,10 +78,17 @@ class OpRunner {
  public:
   virtual ~OpRunner() = default;
   virtual void run_op(const Op& op) = 0;
+  /// End-of-lane hook, invoked on `device`'s thread after its last op. It
+  /// runs after the watchdog stops monitoring the lane and outside the op
+  /// timing, but inside the failure protocol: a throw here aborts the run
+  /// like a failed op. The trainer takes its optimizer step here.
+  virtual void finish_lane(int /*device*/) {}
 };
 
-/// Wall-clock accounting of one run().
+/// Wall-clock accounting of one run(); times ops only, not the end-of-lane
+/// hooks.
 struct ExecutorStats {
+  /// From the start of the run until the last lane's last op returned.
   double wall_seconds = 0.0;
   /// Per device: seconds spent inside compute-stream ops (transformer and
   /// vocabulary passes). Communication waits inside those ops count as busy,
@@ -95,16 +98,6 @@ struct ExecutorStats {
   [[nodiscard]] double idle_fraction(int device) const;
 };
 
-/// How run() dispatches ops. Bit-identical numerics either way (see the
-/// header comment); kProgram additionally enforces cross-device dependency
-/// edges through SEND/RECV token mailboxes.
-enum class ExecutorBackend {
-  kStructs,  ///< walk the projected op-id sequences (historical path)
-  kProgram,  ///< interpret the compiled, statically verified bytecode
-};
-
-[[nodiscard]] const char* to_string(ExecutorBackend backend);
-
 /// Per-device dispatch engine for one verified PipelineSchedule. Construct
 /// once per (schedule, thread budget) and run() once per training iteration.
 class ScheduleExecutor {
@@ -113,8 +106,7 @@ class ScheduleExecutor {
   /// compiles it to per-device bytecode and statically re-verifies the
   /// program against the source (translation validation). `total_threads`
   /// is the machine width to partition across device threads; <= 0 uses the
-  /// process ThreadPool's width. The initial backend comes from
-  /// VOCAB_EXECUTOR (structs|program, default structs).
+  /// process ThreadPool's width.
   explicit ScheduleExecutor(PipelineSchedule schedule, int total_threads = 0);
   ~ScheduleExecutor();
 
@@ -122,7 +114,8 @@ class ScheduleExecutor {
   ScheduleExecutor& operator=(const ScheduleExecutor&) = delete;
 
   /// Execute every op of the schedule once: p device threads, each invoking
-  /// `runner.run_op` over its sequence in the certified order.
+  /// `runner.run_op` over its sequence in the certified order and then
+  /// `runner.finish_lane`.
   ///
   /// Failure protocol: the first device-thread exception aborts the shared
   /// AbortToken, which unblocks every peer wait (channel recvs, collective
@@ -137,11 +130,10 @@ class ScheduleExecutor {
   /// thread. This is the multi-process entry point: under the shm transport
   /// each OS process is one pipeline lane and drives exactly one device,
   /// with cross-lane ordering enforced by the transport's blocking channel
-  /// recvs and collective rendezvous instead of sibling threads. Structs
-  /// backend only — the program interpreter's token mailboxes are in-process
-  /// and cannot span workers. Failure protocol matches run(): the first
-  /// exception aborts the shared token (which the shm transport mirrors to
-  /// every peer process) and is rethrown.
+  /// recvs and collective rendezvous instead of sibling threads. Same lane
+  /// body and failure protocol as run(): a failure aborts the shared token
+  /// (which the shm transport mirrors to every peer process) and is
+  /// rethrown.
   void run_lane(OpRunner& runner, int device);
 
   /// Share the runtime's abort token (also wired into the trainer's channels
@@ -173,20 +165,6 @@ class ScheduleExecutor {
   /// link view); empty probe = no peer lines in snapshots.
   void set_peer_probe(std::function<std::vector<WatchdogPeerLink>()> probe);
 
-  /// Report of the most recent run()'s watchdog firing (empty if none).
-  [[nodiscard]] const std::string& last_watchdog_report() const { return watchdog_report_; }
-
-  /// Select the dispatch backend for subsequent run() calls (checked at run
-  /// time, not construction, so cached executors can be switched).
-  void set_backend(ExecutorBackend backend) { backend_ = backend; }
-  [[nodiscard]] ExecutorBackend backend() const { return backend_; }
-
-  /// Replace the compiled program with `prog` (e.g. one loaded from disk).
-  /// The program is statically re-verified against this executor's schedule
-  /// and must dispatch the same per-device kernel sequences; throws
-  /// CheckError otherwise. Subsequent kProgram runs interpret it.
-  void set_program(program::CompiledProgram prog);
-
   [[nodiscard]] const PipelineSchedule& schedule() const { return schedule_; }
   /// The compiled, verified bytecode artifact of schedule().
   [[nodiscard]] const program::CompiledProgram& program() const { return program_; }
@@ -198,17 +176,19 @@ class ScheduleExecutor {
   [[nodiscard]] int threads_per_device() const { return threads_per_device_; }
 
  private:
-  struct TokenBoxes;  // per-device RECV mailboxes (kProgram backend)
+  struct LaneResult;  // how one lane's run ended
 
-  void run_structs_lane(OpRunner& runner, int device, Watchdog* watchdog,
-                        AbortToken& token, double& compute_seconds, int& current_op);
-  void run_program_lane(OpRunner& runner, int device, Watchdog* watchdog,
-                        AbortToken& token, TokenBoxes& boxes,
-                        double& compute_seconds, int& current_op);
+  /// Run every lane on its own thread (`only_device` < 0), or just
+  /// `only_device` on the calling thread, then rethrow the originating
+  /// failure.
+  void execute(OpRunner& runner, int only_device);
+  /// The per-lane body: dispatch the device's ops, then its end-of-lane
+  /// hook, classifying any failure into `result`.
+  void run_device(OpRunner& runner, int device, AbortToken& token, Watchdog* watchdog,
+                  LaneResult& result);
 
   PipelineSchedule schedule_;
   program::CompiledProgram program_;        // compiled + statically verified
-  ExecutorBackend backend_ = ExecutorBackend::kStructs;
   std::vector<std::vector<int>> sequences_;  // per device, op ids in issue order
   std::vector<std::unique_ptr<parallel::ThreadPool>> pools_;  // per device; empty when serial
   int threads_per_device_ = 1;
@@ -220,7 +200,6 @@ class ScheduleExecutor {
   std::function<std::vector<WatchdogPeerLink>()> peer_probe_;
   WatchdogConfig watchdog_config_;
   bool watchdog_enabled_ = false;
-  std::string watchdog_report_;
 };
 
 }  // namespace vocab

@@ -250,4 +250,108 @@ PipelineSchedule build_gpipe_vocab(const CostModel& cm, int p, OutputAlgo algo,
   return b.finalize(std::move(base_bytes));
 }
 
+PipelineSchedule build_naive_vocab(const CostModel& cm, int p, OutputAlgo algo,
+                                   const std::string& name) {
+  VOCAB_CHECK(algo == OutputAlgo::Alg1 || algo == OutputAlgo::Alg2,
+              "vocabulary-parallel schedules use Alg1 or Alg2");
+  const int m = cm.config().num_microbatches;
+  const int layers = uniform_assignment(cm.config().num_layers, p).layers_per_stage[0];
+  ScheduleBuilder b(name.empty() ? std::string("naive-") + to_string(algo) : name, p, m);
+  const auto P = static_cast<std::size_t>(p);
+
+  const double act = cm.activation_bytes_per_mb(layers);
+  const double out_state = cm.output_shard_state_bytes(algo, p);
+  const double in_state = cm.activation_bytes();
+  const double c1_time = algo == OutputAlgo::Alg1
+                             ? cm.time_stats_allreduce(p)
+                             : cm.time_stats_allreduce(p) + cm.time_gradx_allreduce(p);
+
+  std::vector<int> all_devices(P);
+  std::iota(all_devices.begin(), all_devices.end(), 0);
+
+  // Step k of microbatch mb issues at slot 16 mb + k, so every lane runs
+  // mb's ops strictly before mb + 1's.
+  const auto slot = [](int mb, int step) { return 16.0 * mb + step; };
+  const auto pass = [&](int d, OpKind kind, int mb, int step, double duration,
+                        const std::string& label, std::vector<int> deps, double alloc,
+                        double free) {
+    Op op;
+    op.device = d;
+    op.kind = kind;
+    op.microbatch = mb;
+    op.duration = duration;
+    op.label = label;
+    op.deps = std::move(deps);
+    op.alloc_bytes = alloc;
+    op.free_bytes = free;
+    return b.add(std::move(op), slot(mb, step));
+  };
+  // A collective over every device, member d depending on deps[d]. A group
+  // needs >= 2 members, so a single device issues one ungrouped op instead.
+  const auto collective = [&](Stream stream, double duration, int mb, int step,
+                              const std::string& label, const std::vector<int>& deps) {
+    if (p == 1) {
+      Op op;
+      op.stream = stream;
+      op.kind = OpKind::Collective;
+      op.microbatch = mb;
+      op.duration = duration;
+      op.label = label;
+      op.deps = deps;
+      return std::vector<int>{b.add(std::move(op), slot(mb, step))};
+    }
+    std::vector<std::vector<int>> member_deps(P);
+    for (std::size_t d = 0; d < P; ++d) member_deps[d] = {deps[d]};
+    return b.add_collective(all_devices, stream, duration, mb, label, member_deps,
+                            slot(mb, step));
+  };
+
+  for (int mb = 0; mb < m; ++mb) {
+    const std::string n = std::to_string(mb);
+    std::vector<int> i_ids(P), f_ids(P), s_ids(P), t_ids(P), b_ids(P);
+    for (std::size_t d = 0; d < P; ++d) {
+      i_ids[d] = pass(static_cast<int>(d), OpKind::InputFwd, mb, 0, cm.time_input_shard_fwd(p),
+                      "i" + n, {}, in_state, 0.0);
+    }
+    const std::vector<int> iar =
+        collective(Stream::CommAlt, cm.time_input_allreduce(p), mb, 1, "iAR" + n, i_ids);
+    for (std::size_t d = 0; d < P; ++d) {
+      f_ids[d] = pass(static_cast<int>(d), OpKind::Forward, mb, 2, cm.time_f(layers), "F" + n,
+                      {d == 0 ? iar[0] : f_ids[d - 1]}, act, 0.0);
+      // Device 0's F consumes the all-reduced embedding; the others drop it.
+      b.add_free(d == 0 ? f_ids[0] : iar[d], in_state);
+    }
+    const std::vector<int> c0 = collective(Stream::Comm, cm.time_x_broadcast(p), mb, 3,
+                                           "C0." + n, std::vector<int>(P, f_ids[P - 1]));
+    for (std::size_t d = 0; d < P; ++d) {
+      s_ids[d] = pass(static_cast<int>(d), OpKind::OutputS, mb, 4, cm.time_output_s(algo, p),
+                      "S" + n, {c0[d]}, out_state, 0.0);
+    }
+    const std::vector<int> c1 = collective(Stream::Comm, c1_time, mb, 5, "C1." + n, s_ids);
+    for (std::size_t d = 0; d < P; ++d) {
+      t_ids[d] = pass(static_cast<int>(d), OpKind::OutputT, mb, 6, cm.time_output_t(algo, p),
+                      "T" + n, {c1[d]}, 0.0, out_state);
+    }
+    // B(mb, p-1) waits on the barrier that completes grad_x.
+    const std::vector<int> grad_gate =
+        algo == OutputAlgo::Alg1
+            ? collective(Stream::Comm, cm.time_gradx_allreduce(p), mb, 7, "C2." + n, t_ids)
+            : c1;
+    for (std::size_t d = P; d-- > 0;) {
+      b_ids[d] = pass(static_cast<int>(d), OpKind::BackwardFull, mb, 8, cm.time_b_full(layers),
+                      "B" + n, {f_ids[d], d == P - 1 ? grad_gate[d] : b_ids[d + 1]}, 0.0, act);
+    }
+    const std::vector<int> jbc = collective(Stream::CommAlt, cm.time_x_broadcast(p), mb, 9,
+                                            "jBC" + n, std::vector<int>(P, b_ids[0]));
+    for (std::size_t d = 0; d < P; ++d) {
+      pass(static_cast<int>(d), OpKind::InputBwd, mb, 10, cm.time_input_shard_bwd(p), "j" + n,
+           {jbc[d]}, 0.0, 0.0);
+    }
+  }
+
+  std::vector<double> base_bytes(P, layers * cm.transformer_layer_param_bytes() +
+                                        2.0 * cm.vocab_shard_param_bytes(p));
+  return b.finalize(std::move(base_bytes));
+}
+
 }  // namespace vocab

@@ -396,9 +396,10 @@ TEST(ExecutorAbort, MidScheduleThrowAbortsAllDevicesFast) {
 }
 
 TEST(ExecutorAbort, ExternalCancelPoisonsNaiveTrainer) {
-  // The naive (rendezvous-per-microbatch) path shares the same protocol: its
-  // channels and collectives observe the trainer's token, and a cancelled /
-  // failed token refuses further iterations until the owner rebuilds.
+  // The naive (one microbatch in flight) schedule shares the same protocol:
+  // its channels and collectives observe the trainer's token, and a
+  // cancelled / failed token refuses further iterations until the owner
+  // rebuilds.
   const GptConfig cfg = fault_config();
   PipelineTrainer trainer(GptWeights::init(cfg, 21), /*p=*/2, OutputAlgo::Alg1,
                           PipelineFlavor::Naive);
@@ -562,8 +563,8 @@ TEST(FaultInjection, DelayedOpIsHarmlessAndBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Recovery matrix: every scheduled flavor × width × fault kind recovers from
-// the checkpoint to weights bit-identical to an uninterrupted run.
+// Recovery matrix: every flavor × width × fault kind recovers from the
+// checkpoint to weights bit-identical to an uninterrupted run.
 // ---------------------------------------------------------------------------
 
 struct FaultCase {
@@ -659,8 +660,8 @@ TEST_P(FaultRecovery, RecoversToBitIdenticalWeights) {
 std::vector<FaultCase> fault_cases() {
   std::vector<FaultCase> cases;
   for (const PipelineFlavor flavor :
-       {PipelineFlavor::Baseline1F1B, PipelineFlavor::Gpipe, PipelineFlavor::OneFOneBVocab,
-        PipelineFlavor::VHalf}) {
+       {PipelineFlavor::Naive, PipelineFlavor::Baseline1F1B, PipelineFlavor::Gpipe,
+        PipelineFlavor::OneFOneBVocab, PipelineFlavor::VHalf}) {
     for (const int p : {2, 4}) {
       for (const FaultKind kind :
            {FaultKind::ThrowInOp, FaultKind::StallDevice, FaultKind::KillThread}) {

@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/error.h"
@@ -129,6 +132,61 @@ TEST(ScheduleExecutor, RejectsCorruptedSchedule) {
   EXPECT_THROW(ScheduleExecutor ex(std::move(s)), CheckError);
 }
 
+// The end-of-lane hook (where the trainer takes its optimizer step) runs
+// once per lane, on that lane's thread, after its last op; the op clock
+// stops before it.
+TEST(ScheduleExecutor, EndOfLaneHookRunsOnTheLaneThreadAfterItsOps) {
+  const CostModel cm = exec_cost_model(8);
+  ScheduleExecutor ex(build_1f1b_vocab(cm, 4, OutputAlgo::Alg2));
+  static constexpr auto kHookSleep = std::chrono::milliseconds(300);
+  // Per-lane slots; each lane thread writes only its own.
+  struct Runner : OpRunner {
+    std::thread::id op_thread[4];
+    std::size_t ops_run[4] = {};
+    std::size_t ops_at_hook[4] = {};
+    int hooks[4] = {};
+    int hook_on_lane_thread[4] = {};
+    void run_op(const Op& op) override {
+      const auto d = static_cast<std::size_t>(op.device);
+      op_thread[d] = std::this_thread::get_id();
+      ++ops_run[d];
+    }
+    void finish_lane(int device) override {
+      const auto d = static_cast<std::size_t>(device);
+      ++hooks[d];
+      ops_at_hook[d] = ops_run[d];
+      hook_on_lane_thread[d] = op_thread[d] == std::this_thread::get_id();
+      std::this_thread::sleep_for(kHookSleep);
+    }
+  } runner;
+  ex.run(runner);
+  for (std::size_t d = 0; d < 4; ++d) {
+    EXPECT_EQ(runner.hooks[d], 1) << "device " << d;
+    EXPECT_EQ(runner.hook_on_lane_thread[d], 1) << "device " << d;
+    EXPECT_EQ(runner.ops_at_hook[d], ex.device_sequence(static_cast<int>(d)).size())
+        << "device " << d;
+  }
+  EXPECT_LT(ex.last_stats().wall_seconds,
+            std::chrono::duration<double>(kHookSleep).count());
+}
+
+// A throw in the hook aborts the run like a failed op.
+TEST(ScheduleExecutor, EndOfLaneHookFailureAbortsTheRun) {
+  const CostModel cm = exec_cost_model(4);
+  ScheduleExecutor ex(build_1f1b(cm, 2, uniform_assignment(8, 2)));
+  auto token = std::make_shared<AbortToken>();
+  ex.set_abort_token(token);
+  struct Runner : OpRunner {
+    void run_op(const Op&) override {}
+    void finish_lane(int device) override {
+      if (device == 1) throw std::runtime_error("optimizer step failed");
+    }
+  } runner;
+  EXPECT_THROW(ex.run(runner), std::runtime_error);
+  ASSERT_TRUE(token->aborted());
+  EXPECT_EQ(token->reason().device, 1);
+}
+
 TEST(ScheduleExecutor, PartitionsThreadBudgetAcrossDevices) {
   const CostModel cm = exec_cost_model(4);
   const ScheduleExecutor wide(build_1f1b(cm, 2, uniform_assignment(8, 2)), /*total_threads=*/8);
@@ -199,6 +257,8 @@ std::vector<ExecCase> exec_cases() {
   std::vector<ExecCase> cases;
   for (const int p : {2, 4}) {
     for (const bool tied : {false, true}) {
+      cases.push_back({PipelineFlavor::Naive, OutputAlgo::Alg1, p, tied});
+      cases.push_back({PipelineFlavor::Naive, OutputAlgo::Alg2, p, tied});
       cases.push_back({PipelineFlavor::Baseline1F1B, OutputAlgo::Alg1, p, tied});
       cases.push_back({PipelineFlavor::Gpipe, OutputAlgo::Alg1, p, tied});
       cases.push_back({PipelineFlavor::Gpipe, OutputAlgo::Alg2, p, tied});
