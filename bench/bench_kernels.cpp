@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks of the numeric kernels underlying the
 // vocabulary-parallel passes: matmuls, softmax variants (safe / streaming /
-// partitioned), and the full per-shard output-layer algorithms.
+// partitioned), the full per-shard output-layer algorithms, and the
+// transformer stage (GELU, one stage forward + backward).
 //
 // Pass `--json <path>` to also emit the results as a machine-readable
 // BENCH_kernels.json array (name, shape, ns/iter, GFLOP/s, GB/s, threads,
@@ -15,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "autograd/autograd.h"
 #include "bench_common.h"
 #include "comm/device_group.h"
 #include "common/rng.h"
@@ -22,6 +24,7 @@
 #include "core/output_layer_shard.h"
 #include "core/reference_output_layer.h"
 #include "core/vocab_shard.h"
+#include "model/transformer.h"
 #include "parallel/thread_pool.h"
 #include "tensor/bf16.h"
 #include "tensor/simd.h"
@@ -201,6 +204,61 @@ BENCHMARK(BM_MatmulNT_OutputLogits)->UseRealTime();
 BENCHMARK(BM_MatmulNT_MlpUpGradX)->UseRealTime();
 BENCHMARK(BM_MatmulNT_MlpDownGradX)->UseRealTime();
 BENCHMARK(BM_MatmulNT_Attention)->UseRealTime();
+
+// The transformer MLP's activation over one microbatch's [s, 4h]
+// pre-activation (4h = 512 on paper-v8k, 256 on tiny-v211): GELU forward
+// alone, then forward + backward through the tape. Memory-bound, so GB/s
+// counts the forward's read + write.
+void BM_GeluForward(benchmark::State& state) {
+  const std::int64_t cols = state.range(0);
+  Rng rng(15);
+  const autograd::Var x = autograd::leaf(Tensor::randn({kTokens, cols}, rng), true);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(autograd::gelu(x));
+  }
+  state.SetBytesProcessed(state.iterations() * 2 * kTokens * cols *
+                          static_cast<std::int64_t>(sizeof(float)));
+  state.SetLabel(dims(kTokens, cols));
+}
+void BM_GeluForwardBackward(benchmark::State& state) {
+  const std::int64_t cols = state.range(0);
+  Rng rng(16);
+  const autograd::Var x = autograd::leaf(Tensor::randn({kTokens, cols}, rng), true);
+  const Tensor seed = Tensor::randn({kTokens, cols}, rng);
+  for (auto _ : state) {
+    autograd::backward(autograd::gelu(x), seed);
+    x->grad = Tensor();
+  }
+  state.SetBytesProcessed(state.iterations() * 2 * kTokens * cols *
+                          static_cast<std::int64_t>(sizeof(float)));
+  state.SetLabel(dims(kTokens, cols));
+}
+BENCHMARK(BM_GeluForward)->Arg(4 * kHidden)->Arg(2 * kHidden)->UseRealTime();
+BENCHMARK(BM_GeluForwardBackward)->Arg(4 * kHidden)->Arg(2 * kHidden)->UseRealTime();
+
+// One pipeline stage's transformer layers, forward then backward: two
+// layers, two heads, s = 32, at h = 128 (paper-v8k) and h = 64 (tiny-v211),
+// the stage vpbench times as model.stage_fwd_us / model.stage_bwd_us.
+void BM_TransformerStage(benchmark::State& state) {
+  const std::int64_t h = state.range(0);
+  constexpr int kStageLayers = 2;
+  constexpr int kHeads = 2;
+  Rng rng(17);
+  std::vector<LayerWeights> layers;
+  for (int l = 0; l < kStageLayers; ++l) layers.push_back(LayerWeights::init(h, rng));
+  TransformerStack stack(std::move(layers), kHeads);
+  const Tensor x = Tensor::randn({kTokens, h}, rng);
+  const Tensor grad = Tensor::randn({kTokens, h}, rng, 0.02f);
+  int mb = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(stack.forward(mb, x));
+    benchmark::DoNotOptimize(stack.backward(mb, grad));
+    ++mb;
+  }
+  state.SetLabel(dims(kTokens, h) + " L=" + std::to_string(kStageLayers) +
+                 " heads=" + std::to_string(kHeads) + " fwd+bwd");
+}
+BENCHMARK(BM_TransformerStage)->Arg(kHidden)->Arg(kHidden / 2)->UseRealTime();
 
 // Softmax is memory-bound, so its throughput is reported as bytes moved
 // (read the logits, write the probabilities) rather than FLOPs.

@@ -5,6 +5,7 @@
 
 #include "common/error.h"
 #include "parallel/thread_pool.h"
+#include "tensor/simd.h"
 #include "tensor/tensor_ops.h"
 
 namespace vocab::autograd {
@@ -98,15 +99,20 @@ Var add_rowvec(const Var& a, const Var& bias) {
               "add_rowvec shape mismatch");
   Tensor out = a->value;
   const std::int64_t m = out.dim(0), nn = out.dim(1);
+  const float* pb = bias->value.data();
   for (std::int64_t i = 0; i < m; ++i) {
-    for (std::int64_t j = 0; j < nn; ++j) out.at(i, j) += bias->value.at(j);
+    float* row = out.data() + i * nn;
+    for (std::int64_t j = 0; j < nn; ++j) row[j] += pb[j];
   }
   return make_node(std::move(out), {a, bias}, [a, bias](Node& n) {
     accumulate(a, n.grad);
     if (wants(bias)) {
-      Tensor db({n.grad.dim(1)});
-      for (std::int64_t i = 0; i < n.grad.dim(0); ++i) {
-        for (std::int64_t j = 0; j < n.grad.dim(1); ++j) db.at(j) += n.grad.at(i, j);
+      const std::int64_t m = n.grad.dim(0), nn = n.grad.dim(1);
+      Tensor db({nn});
+      float* pdb = db.data();
+      for (std::int64_t i = 0; i < m; ++i) {
+        const float* row = n.grad.data() + i * nn;
+        for (std::int64_t j = 0; j < nn; ++j) pdb[j] += row[j];
       }
       add_inplace(bias->ensure_grad(), db);
     }
@@ -129,32 +135,24 @@ Var scale(const Var& a, float s) {
 }
 
 Var gelu(const Var& a) {
-  // tanh approximation: 0.5 x (1 + tanh(c (x + 0.044715 x^3))).
-  constexpr float kC = 0.7978845608f;  // sqrt(2/pi)
-  constexpr float kB = 0.044715f;
+  // tanh approximation, 0.5 x (1 + tanh(c (x + 0.044715 x^3))); the
+  // arithmetic is the SIMD table's, one kernel call per chunk.
+  const simd::Kernels& ks = simd::kernels();
   Tensor out(a->value.shape());
   const float* px = a->value.data();
   float* po = out.data();
   parallel::parallel_for(0, out.numel(), 4096, [&](std::int64_t e0, std::int64_t e1) {
-    for (std::int64_t i = e0; i < e1; ++i) {
-      const float x = px[i];
-      po[i] = 0.5f * x * (1.0f + std::tanh(kC * (x + kB * x * x * x)));
-    }
+    ks.gelu(px + e0, po + e0, e1 - e0);
   });
   return make_node(std::move(out), {a}, [a](Node& n) {
     if (!wants(a)) return;
+    const simd::Kernels& ks = simd::kernels();
     Tensor da(a->value.shape());
     const float* px = a->value.data();
     const float* pg = n.grad.data();
     float* pd = da.data();
     parallel::parallel_for(0, da.numel(), 4096, [&](std::int64_t e0, std::int64_t e1) {
-      for (std::int64_t i = e0; i < e1; ++i) {
-        const float x = px[i];
-        const float u = kC * (x + kB * x * x * x);
-        const float t = std::tanh(u);
-        const float du = kC * (1.0f + 3.0f * kB * x * x);
-        pd[i] = pg[i] * (0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * du);
-      }
+      ks.gelu_backward(px + e0, pg + e0, pd + e0, e1 - e0);
     });
     add_inplace(a->ensure_grad(), da);
   });
@@ -204,11 +202,19 @@ Var layernorm(const Var& x, const Var& gamma, const Var& beta, float eps) {
                     inv_sigma = std::move(inv_sigma)](Node& nd) {
     const std::int64_t m = nd.grad.dim(0), n = nd.grad.dim(1);
     if (wants(gamma) || wants(beta)) {
+      // Column sums of grad and of grad * xhat. The products are formed in
+      // their own pass so the compiler cannot fuse them into the sums as
+      // FMAs: each product is rounded before it is added.
+      const Tensor gx = vocab::mul(nd.grad, xhat);
       Tensor dg({n}), db({n});
+      float* pdg = dg.data();
+      float* pdb = db.data();
       for (std::int64_t i = 0; i < m; ++i) {
+        const float* grow = nd.grad.data() + i * n;
+        const float* gxrow = gx.data() + i * n;
         for (std::int64_t j = 0; j < n; ++j) {
-          dg.at(j) += nd.grad.at(i, j) * xhat.at(i, j);
-          db.at(j) += nd.grad.at(i, j);
+          pdg[j] += gxrow[j];
+          pdb[j] += grow[j];
         }
       }
       if (wants(gamma)) add_inplace(gamma->ensure_grad(), dg);
@@ -264,13 +270,16 @@ Var causal_attention(const Var& q, const Var& k, const Var& v, int heads) {
     Tensor scores = vocab::matmul_nt(qa, ka);
     scale_inplace(scores, inv_sqrt);
     // Causal mask: position i attends to j <= i.
+    float* psc = scores.data();
     for (std::int64_t i = 0; i < s; ++i) {
-      for (std::int64_t j = i + 1; j < s; ++j) scores.at(i, j) = -1e30f;
+      for (std::int64_t j = i + 1; j < s; ++j) psc[i * s + j] = -1e30f;
     }
     Tensor p = vocab::softmax_rows(scores);
     const Tensor ctx = vocab::matmul(p, va);
     for (std::int64_t i = 0; i < s; ++i) {
-      for (std::int64_t j = 0; j < dh; ++j) out.at(i, c0 + j) = ctx.at(i, j);
+      const float* crow = ctx.data() + i * dh;
+      float* orow = out.data() + i * h + c0;
+      for (std::int64_t j = 0; j < dh; ++j) orow[j] = crow[j];
     }
     probs[static_cast<std::size_t>(a)] = std::move(p);
   }
@@ -279,8 +288,11 @@ Var causal_attention(const Var& q, const Var& k, const Var& v, int heads) {
                    [q, k, v, heads, dh, inv_sqrt, probs = std::move(probs)](Node& n) {
     // q/k/v are all activations: the whole closure is BI work.
     if (!wants(q) && !wants(k) && !wants(v)) return;
-    const std::int64_t s = n.grad.dim(0);
+    const std::int64_t s = n.grad.dim(0), h = n.grad.dim(1);
     Tensor dq(q->value.shape()), dk(k->value.shape()), dv(v->value.shape());
+    float* pdq = dq.data();
+    float* pdk = dk.data();
+    float* pdv = dv.data();
     for (int a = 0; a < heads; ++a) {
       const std::int64_t c0 = a * dh, c1 = c0 + dh;
       const Tensor qa = slice_cols(q->value, c0, c1);
@@ -308,11 +320,15 @@ Var causal_attention(const Var& q, const Var& k, const Var& v, int heads) {
       });
       const Tensor dqa = vocab::matmul(ds, ka);
       const Tensor dka = vocab::matmul_tn(ds, qa);
+      const float* pdqa = dqa.data();
+      const float* pdka = dka.data();
+      const float* pdva = dva.data();
       for (std::int64_t i = 0; i < s; ++i) {
+        const std::int64_t src = i * dh, dst = i * h + c0;
         for (std::int64_t j = 0; j < dh; ++j) {
-          dq.at(i, c0 + j) += dqa.at(i, j);
-          dk.at(i, c0 + j) += dka.at(i, j);
-          dv.at(i, c0 + j) += dva.at(i, j);
+          pdq[dst + j] += pdqa[src + j];
+          pdk[dst + j] += pdka[src + j];
+          pdv[dst + j] += pdva[src + j];
         }
       }
     }

@@ -276,6 +276,25 @@ void s_exp_scale(const float* x, float* out, std::int64_t n, float shift, float 
   }
 }
 
+// GELU's libm reference. These expressions are what VOCAB_SIMD=scalar
+// computes bit for bit on every machine; keep them as written.
+void s_gelu(const float* px, float* po, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) {
+    const float x = px[i];
+    po[i] = 0.5f * x * (1.0f + std::tanh(kGeluC * (x + kGeluB * x * x * x)));
+  }
+}
+
+void s_gelu_backward(const float* px, const float* pg, float* pd, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) {
+    const float x = px[i];
+    const float u = kGeluC * (x + kGeluB * x * x * x);
+    const float t = std::tanh(u);
+    const float du = kGeluC * (1.0f + 3.0f * kGeluB * x * x);
+    pd[i] = pg[i] * (0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * du);
+  }
+}
+
 void s_fp32_to_bf16(const float* src, std::uint16_t* dst, std::int64_t n) {
   for (std::int64_t j = 0; j < n; ++j) dst[j] = bf16_detail::bits_from_float(src[j]);
 }
@@ -299,8 +318,8 @@ const Kernels& scalar_table() {
       &s_matmul_rows,    &s_matmul_nt_rows,      &s_matmul_tn_rows,
       &s_matmul_bf16_rows, &s_matmul_nt_bf16_rows,
       &s_reduce_max,     &s_reduce_sum,          &s_exp_sum,
-      &s_exp_scale,      &s_fp32_to_bf16,        &s_bf16_to_fp32,
-      &s_nonfinite_count,
+      &s_exp_scale,      &s_gelu,                &s_gelu_backward,
+      &s_fp32_to_bf16,   &s_bf16_to_fp32,        &s_nonfinite_count,
   };
   return table;
 }

@@ -7,8 +7,9 @@
 // makes the vector width explicit: each instruction-set level provides a
 // table of microkernels (packed, cache-tiled, register-blocked matmuls plus
 // the row-reduction / exp / conversion kernels the softmax and
-// cross-entropy paths stream through), and the active table is selected once
-// at runtime from CPU detection and the VOCAB_SIMD environment knob:
+// cross-entropy paths stream through, and the transformer MLP's GELU), and
+// the active table is selected once at runtime from CPU detection and the
+// VOCAB_SIMD environment knob:
 //
 //   VOCAB_SIMD=auto    (default) best level this CPU supports
 //   VOCAB_SIMD=avx512  require AVX-512 (F/BW/DQ/VL); error if unsupported
@@ -109,6 +110,16 @@ struct Kernels {
   /// x == out.
   void (*exp_scale)(const float* x, float* out, std::int64_t n, float shift,
                     float scale);
+
+  /// out[i] = GELU(x[i]), tanh approximation 0.5 x (1 + tanh u) with
+  /// u = sqrt(2/pi) (x + 0.044715 x^3). Scalar calls libm tanh (the
+  /// reference); the vector levels compute x / (1 + exp(-2u)) with their
+  /// polynomial exp and return a signed zero where exp(-2u) nears overflow.
+  /// Non-finite x gives non-finite out at every level.
+  void (*gelu)(const float* x, float* out, std::int64_t n);
+
+  /// dx[i] = dy[i] * GELU'(x[i]) (same per-level numerics as gelu).
+  void (*gelu_backward)(const float* x, const float* dy, float* dx, std::int64_t n);
 
   /// dst[i] = bf16(src[i]), round-to-nearest-even, NaN kept quiet.
   void (*fp32_to_bf16)(const float* src, std::uint16_t* dst, std::int64_t n);

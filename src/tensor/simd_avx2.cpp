@@ -223,6 +223,73 @@ void e_scale(const float* x, float* out, std::int64_t n, float shift, float scal
   for (; l < n; ++l) out[l] = exp_scalar(x[l] - shift) * scale;
 }
 
+// ---- GELU ------------------------------------------------------------------
+//
+// The sigmoid form of simd_tables.h on exp8: forward x / (1 + e); backward,
+// with s = 1 / (1 + e) and 1 - s = e s, GELU' = s + (x (1 - s)) (2u' s).
+// The remainder loops are the lanes' bit-exact scalar twins.
+
+inline __m256 neg_two_u8(__m256 x, __m256 x2) {
+  return _mm256_mul_ps(
+      x, _mm256_fmadd_ps(x2, _mm256_set1_ps(kGeluA3), _mm256_set1_ps(kGeluA1)));
+}
+
+inline float neg_two_u_scalar(float x, float x2) {
+  return x * std::fma(x2, kGeluA3, kGeluA1);
+}
+
+void g_fwd(const float* x, float* out, std::int64_t n) {
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 cut = _mm256_set1_ps(kGeluCut);
+  std::int64_t l = 0;
+  for (; l + 8 <= n; l += 8) {
+    const __m256 v = _mm256_loadu_ps(x + l);
+    const __m256 z = neg_two_u8(v, _mm256_mul_ps(v, v));
+    const __m256 y = _mm256_div_ps(v, _mm256_add_ps(one, exp8(z)));
+    const __m256 zero = _mm256_mul_ps(v, _mm256_setzero_ps());
+    _mm256_storeu_ps(out + l,
+                     _mm256_blendv_ps(y, zero, _mm256_cmp_ps(z, cut, _CMP_GT_OQ)));
+  }
+  for (; l < n; ++l) {
+    const float v = x[l];
+    const float z = neg_two_u_scalar(v, v * v);
+    out[l] = z > kGeluCut ? v * 0.0f : v / (1.0f + exp_scalar(z));
+  }
+}
+
+void g_bwd(const float* x, const float* dy, float* dx, std::int64_t n) {
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 cut = _mm256_set1_ps(kGeluCut);
+  std::int64_t l = 0;
+  for (; l + 8 <= n; l += 8) {
+    const __m256 v = _mm256_loadu_ps(x + l);
+    const __m256 v2 = _mm256_mul_ps(v, v);
+    const __m256 z = neg_two_u8(v, v2);
+    const __m256 e = exp8(z);
+    const __m256 s = _mm256_div_ps(one, _mm256_add_ps(one, e));
+    const __m256 d2u =
+        _mm256_fmadd_ps(v2, _mm256_set1_ps(kGeluD3), _mm256_set1_ps(kGeluD1));
+    const __m256 g = _mm256_fmadd_ps(_mm256_mul_ps(v, _mm256_mul_ps(e, s)),
+                                     _mm256_mul_ps(d2u, s), s);
+    const __m256 zero = _mm256_mul_ps(v, _mm256_setzero_ps());
+    const __m256 gz = _mm256_blendv_ps(g, zero, _mm256_cmp_ps(z, cut, _CMP_GT_OQ));
+    _mm256_storeu_ps(dx + l, _mm256_mul_ps(_mm256_loadu_ps(dy + l), gz));
+  }
+  for (; l < n; ++l) {
+    const float v = x[l];
+    const float v2 = v * v;
+    const float z = neg_two_u_scalar(v, v2);
+    float g = v * 0.0f;
+    if (!(z > kGeluCut)) {
+      const float e = exp_scalar(z);
+      const float s = 1.0f / (1.0f + e);
+      const float d2u = std::fma(v2, kGeluD3, kGeluD1);
+      g = std::fma(v * (e * s), d2u * s, s);
+    }
+    dx[l] = dy[l] * g;
+  }
+}
+
 // ---- conversions / guards --------------------------------------------------
 
 void f32_to_b16(const float* src, std::uint16_t* dst, std::int64_t n) {
@@ -299,8 +366,8 @@ const Kernels* avx2_table() {
   static const Kernels table = {
       &gemm_nn_rows<Vec8, float>, &gemm_nt_rows<Vec8, float>, &gemm_tn_rows<Vec8>,
       &gemm_nn_rows<Vec8, std::uint16_t>, &gemm_nt_rows<Vec8, std::uint16_t>, &r_max,
-      &r_sum,  &e_sum,       &e_scale,    &f32_to_b16, &b16_to_f32,
-      &nonfinite,
+      &r_sum,  &e_sum,       &e_scale,    &g_fwd,      &g_bwd,
+      &f32_to_b16, &b16_to_f32, &nonfinite,
   };
   return &table;
 }

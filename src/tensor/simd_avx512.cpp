@@ -216,6 +216,73 @@ void e_scale(const float* x, float* out, std::int64_t n, float shift, float scal
   for (; l < n; ++l) out[l] = exp_scalar(x[l] - shift) * scale;
 }
 
+// ---- GELU ------------------------------------------------------------------
+//
+// simd_avx2.cpp's sigmoid-form GELU at 16 lanes on exp16, with a mask blend
+// for the cut; the remainder loops are the same bit-exact scalar twins.
+
+inline __m512 neg_two_u16(__m512 x, __m512 x2) {
+  return _mm512_mul_ps(
+      x, _mm512_fmadd_ps(x2, _mm512_set1_ps(kGeluA3), _mm512_set1_ps(kGeluA1)));
+}
+
+inline float neg_two_u_scalar(float x, float x2) {
+  return x * std::fma(x2, kGeluA3, kGeluA1);
+}
+
+void g_fwd(const float* x, float* out, std::int64_t n) {
+  const __m512 one = _mm512_set1_ps(1.0f);
+  const __m512 cut = _mm512_set1_ps(kGeluCut);
+  std::int64_t l = 0;
+  for (; l + 16 <= n; l += 16) {
+    const __m512 v = _mm512_loadu_ps(x + l);
+    const __m512 z = neg_two_u16(v, _mm512_mul_ps(v, v));
+    const __m512 y = _mm512_div_ps(v, _mm512_add_ps(one, exp16(z)));
+    const __m512 zero = _mm512_mul_ps(v, _mm512_setzero_ps());
+    _mm512_storeu_ps(out + l, _mm512_mask_blend_ps(
+                                  _mm512_cmp_ps_mask(z, cut, _CMP_GT_OQ), y, zero));
+  }
+  for (; l < n; ++l) {
+    const float v = x[l];
+    const float z = neg_two_u_scalar(v, v * v);
+    out[l] = z > kGeluCut ? v * 0.0f : v / (1.0f + exp_scalar(z));
+  }
+}
+
+void g_bwd(const float* x, const float* dy, float* dx, std::int64_t n) {
+  const __m512 one = _mm512_set1_ps(1.0f);
+  const __m512 cut = _mm512_set1_ps(kGeluCut);
+  std::int64_t l = 0;
+  for (; l + 16 <= n; l += 16) {
+    const __m512 v = _mm512_loadu_ps(x + l);
+    const __m512 v2 = _mm512_mul_ps(v, v);
+    const __m512 z = neg_two_u16(v, v2);
+    const __m512 e = exp16(z);
+    const __m512 s = _mm512_div_ps(one, _mm512_add_ps(one, e));
+    const __m512 d2u =
+        _mm512_fmadd_ps(v2, _mm512_set1_ps(kGeluD3), _mm512_set1_ps(kGeluD1));
+    const __m512 g = _mm512_fmadd_ps(_mm512_mul_ps(v, _mm512_mul_ps(e, s)),
+                                     _mm512_mul_ps(d2u, s), s);
+    const __m512 zero = _mm512_mul_ps(v, _mm512_setzero_ps());
+    const __m512 gz =
+        _mm512_mask_blend_ps(_mm512_cmp_ps_mask(z, cut, _CMP_GT_OQ), g, zero);
+    _mm512_storeu_ps(dx + l, _mm512_mul_ps(_mm512_loadu_ps(dy + l), gz));
+  }
+  for (; l < n; ++l) {
+    const float v = x[l];
+    const float v2 = v * v;
+    const float z = neg_two_u_scalar(v, v2);
+    float g = v * 0.0f;
+    if (!(z > kGeluCut)) {
+      const float e = exp_scalar(z);
+      const float s = 1.0f / (1.0f + e);
+      const float d2u = std::fma(v2, kGeluD3, kGeluD1);
+      g = std::fma(v * (e * s), d2u * s, s);
+    }
+    dx[l] = dy[l] * g;
+  }
+}
+
 // ---- conversions / guards --------------------------------------------------
 
 void f32_to_b16(const float* src, std::uint16_t* dst, std::int64_t n) {
@@ -282,8 +349,8 @@ const Kernels* avx512_table() {
   static const Kernels table = {
       &gemm_nn_rows<Vec16, float>, &gemm_nt_rows<Vec16, float>, &gemm_tn_rows<Vec16>,
       &gemm_nn_rows<Vec16, std::uint16_t>, &gemm_nt_rows<Vec16, std::uint16_t>, &r_max,
-      &r_sum,  &e_sum,       &e_scale,    &f32_to_b16, &b16_to_f32,
-      &nonfinite,
+      &r_sum,  &e_sum,       &e_scale,    &g_fwd,      &g_bwd,
+      &f32_to_b16, &b16_to_f32, &nonfinite,
   };
   return &table;
 }

@@ -1,8 +1,8 @@
 // NEON (aarch64) kernel table: a conservative fallback that vectorizes the
 // matmul and bf16-conversion kernels with 4-lane FMA and reuses the scalar
 // reference kernels for the reductions/exp (those are bandwidth-bound at
-// NEON widths anyway). Same element-consistency discipline as the x86
-// tables: vfmaq lanes are matched by std::fma tails.
+// NEON widths anyway) and for GELU. Same element-consistency discipline as
+// the x86 tables: vfmaq lanes are matched by std::fma tails.
 
 #if defined(__aarch64__)
 
@@ -235,6 +235,7 @@ const Kernels* neon_table() {
   static const Kernels table = {
       &mm_nn,        &mm_nt,        &mm_tn,   &mm_nn_bf16, &mm_nt_bf16,
       &s_reduce_max, &s_reduce_sum, &s_exp_sum, &s_exp_scale,
+      &s_gelu,       &s_gelu_backward,
       &f32_to_b16,   &b16_to_f32,   &s_nonfinite_count,
   };
   return &table;

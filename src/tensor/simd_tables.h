@@ -39,6 +39,23 @@ float s_reduce_max(const float* x, std::int64_t n);
 double s_reduce_sum(const float* x, std::int64_t n);
 double s_exp_sum(const float* x, std::int64_t n, float shift);
 void s_exp_scale(const float* x, float* out, std::int64_t n, float shift, float scale);
+void s_gelu(const float* x, float* out, std::int64_t n);
+void s_gelu_backward(const float* x, const float* dy, float* dx, std::int64_t n);
+
+// GELU's tanh-approximation constants, shared by every level's kernels.
+constexpr float kGeluC = 0.7978845608f;  // sqrt(2/pi)
+constexpr float kGeluB = 0.044715f;
+
+// The vector levels' sigmoid form: 0.5 x (1 + tanh u) = x / (1 + e) with
+// e = exp(-2u), -2u = x (kGeluA1 + kGeluA3 x^2), and 2u' = kGeluD1 + kGeluD3 x^2.
+// Where -2u > kGeluCut (e > 5e34) GELU and GELU' are below 1e-33 in
+// magnitude: those elements return x * 0, a signed zero (NaN for x = -inf),
+// so no intermediate goes subnormal and exp's overflow clamp is never hit.
+constexpr float kGeluA1 = -2.0f * kGeluC;
+constexpr float kGeluA3 = -2.0f * kGeluC * kGeluB;
+constexpr float kGeluD1 = 2.0f * kGeluC;
+constexpr float kGeluD3 = 6.0f * kGeluC * kGeluB;
+constexpr float kGeluCut = 80.0f;
 void s_fp32_to_bf16(const float* src, std::uint16_t* dst, std::int64_t n);
 void s_bf16_to_fp32(const std::uint16_t* src, float* dst, std::int64_t n);
 std::int64_t s_nonfinite_count(const float* x, std::int64_t n);

@@ -46,7 +46,9 @@ std::size_t serialize_tensor(std::byte* dst, std::size_t cap, const Tensor& t) {
     std::memcpy(dst + offset, &d, 8);
     offset += 8;
   }
-  std::memcpy(dst + offset, t.data(), 4 * static_cast<std::size_t>(t.numel()));
+  // An empty tensor has no buffer: memcpy from a null pointer is undefined
+  // even for zero bytes.
+  if (t.numel() > 0) std::memcpy(dst + offset, t.data(), 4 * static_cast<std::size_t>(t.numel()));
   return need;
 }
 
@@ -61,7 +63,7 @@ Tensor deserialize_tensor(const std::byte* src) {
     offset += 8;
   }
   Tensor t(shape);
-  std::memcpy(t.data(), src + offset, 4 * static_cast<std::size_t>(t.numel()));
+  if (t.numel() > 0) std::memcpy(t.data(), src + offset, 4 * static_cast<std::size_t>(t.numel()));
   return t;
 }
 

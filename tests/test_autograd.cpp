@@ -8,6 +8,7 @@
 
 #include "autograd/autograd.h"
 #include "common/rng.h"
+#include "tensor/simd.h"
 #include "tensor/tensor_ops.h"
 
 namespace vocab {
@@ -79,9 +80,14 @@ TEST(Autograd, ScaleGradients) {
 }
 
 TEST(Autograd, GeluGradients) {
-  Rng rng(6);
-  grad_check({Tensor::randn({2, 5}, rng)},
-             [](const auto& v) { return ag::gelu(v[0]); });
+  // Every level's kernels: libm tanh at scalar, the sigmoid form elsewhere.
+  for (const auto level : simd::supported_levels()) {
+    SCOPED_TRACE(simd::to_string(level));
+    simd::ScopedLevel scoped(level);
+    Rng rng(6);
+    grad_check({Tensor::randn({2, 5}, rng)},
+               [](const auto& v) { return ag::gelu(v[0]); });
+  }
 }
 
 TEST(Autograd, LayernormGradients) {

@@ -12,6 +12,7 @@
 //      checkpoint round trip (v3 carries the scaler state).
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstdint>
@@ -19,8 +20,10 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "autograd/autograd.h"
 #include "common/error.h"
 #include "common/rng.h"
 #include "model/gpt.h"
@@ -104,6 +107,8 @@ TEST(SimdDispatch, EveryTableIsFullyPopulated) {
     EXPECT_NE(ks.reduce_sum, nullptr) << simd::to_string(level);
     EXPECT_NE(ks.exp_sum, nullptr) << simd::to_string(level);
     EXPECT_NE(ks.exp_scale, nullptr) << simd::to_string(level);
+    EXPECT_NE(ks.gelu, nullptr) << simd::to_string(level);
+    EXPECT_NE(ks.gelu_backward, nullptr) << simd::to_string(level);
     EXPECT_NE(ks.fp32_to_bf16, nullptr) << simd::to_string(level);
     EXPECT_NE(ks.bf16_to_fp32, nullptr) << simd::to_string(level);
     EXPECT_NE(ks.nonfinite_count, nullptr) << simd::to_string(level);
@@ -378,6 +383,37 @@ TEST(SimdWidthSweep, SoftmaxFamilyBitIdenticalAcrossThreadWidths) {
   }
 }
 
+// GELU forward value and input gradient through the autograd node, which
+// calls the table once per parallel_for chunk.
+std::pair<Tensor, Tensor> gelu_forward_backward(const Tensor& x, const Tensor& dy) {
+  const autograd::Var in = autograd::leaf(x, true);
+  const autograd::Var out = autograd::gelu(in);
+  autograd::backward(out, dy);
+  return {out->value, in->grad};
+}
+
+TEST(SimdWidthSweep, GeluBitIdenticalAcrossThreadWidths) {
+  // 7 x 1237 = 8659 elements: several 4096-element chunks, an odd length,
+  // and chunk starts off the vector width.
+  const Tensor x = randn({7, 1237}, 8, 3.0f);
+  const Tensor dy = randn({7, 1237}, 9);
+
+  PoolWidthGuard guard;
+  for (const auto level : simd::supported_levels()) {
+    simd::ScopedLevel scoped(level);
+    parallel::set_num_threads(1);
+    const auto [ref_y, ref_dx] = gelu_forward_backward(x, dy);
+    for (const int width : {2, 4, 7}) {
+      parallel::set_num_threads(width);
+      const std::string tag =
+          std::string(simd::to_string(level)) + " @ " + std::to_string(width) + " threads";
+      const auto [y, dx] = gelu_forward_backward(x, dy);
+      expect_bitwise_equal(y, ref_y, "gelu " + tag);
+      expect_bitwise_equal(dx, ref_dx, "gelu backward " + tag);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Cross-level: exact ops identical everywhere, float kernels near scalar.
 // ---------------------------------------------------------------------------
@@ -454,6 +490,158 @@ TEST(SimdKernels, ExpKernelsFlushMaskedLogitsToExactZero) {
     EXPECT_TRUE(std::isfinite(s)) << simd::to_string(level);
     EXPECT_GT(s, 0.0) << simd::to_string(level);
   }
+}
+
+// ---------------------------------------------------------------------------
+// GELU kernels: scalar is the libm reference, the vector levels the sigmoid
+// form on the polynomial exp (tensor/simd_tables.h).
+// ---------------------------------------------------------------------------
+
+std::vector<float> gelu_inputs() {
+  // A dense sweep over [-12, 12] (both tails, the cut, the cancellation
+  // region of the tanh form) plus a wide random bulk; odd length.
+  std::vector<float> x;
+  for (int i = -1200; i <= 1200; ++i) x.push_back(static_cast<float>(i) * 0.01f);
+  const Tensor bulk = randn({301}, 41, 4.0f);
+  for (std::int64_t i = 0; i < bulk.numel(); ++i) x.push_back(bulk.at(i));
+  return x;
+}
+
+TEST(SimdCrossLevel, GeluNearScalarReference) {
+  const std::vector<float> x = gelu_inputs();
+  const auto n = static_cast<std::int64_t>(x.size());
+  Rng rng(42);
+  std::vector<float> dy(x.size());
+  for (float& g : dy) g = static_cast<float>(rng.uniform() * 2.0 - 1.0);
+
+  const auto& scalar = simd::kernels_for(simd::Level::kScalar);
+  std::vector<float> ref_y(x.size()), ref_dx(x.size());
+  scalar.gelu(x.data(), ref_y.data(), n);
+  scalar.gelu_backward(x.data(), dy.data(), ref_dx.data(), n);
+  for (const auto level : simd::supported_levels()) {
+    const auto& ks = simd::kernels_for(level);
+    std::vector<float> y(x.size()), dx(x.size());
+    ks.gelu(x.data(), y.data(), n);
+    ks.gelu_backward(x.data(), dy.data(), dx.data(), n);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      ASSERT_LE(std::abs(y[i] - ref_y[i]), 2e-6f * std::max(1.0f, std::abs(ref_y[i])))
+          << "gelu vs scalar at " << simd::to_string(level) << ", x = " << x[i];
+      ASSERT_LE(std::abs(dx[i] - ref_dx[i]), 2e-6f * std::max(1.0f, std::abs(ref_dx[i])))
+          << "gelu_backward vs scalar at " << simd::to_string(level) << ", x = " << x[i];
+    }
+  }
+}
+
+TEST(SimdKernels, GeluElementConsistentAcrossOffsets) {
+  // The same element computed in a vector lane or in a scalar tail gives the
+  // same bits: start the span 1..15 elements late and compare what overlaps.
+  const Tensor xt = randn({131}, 43, 4.0f);
+  const Tensor dyt = randn({131}, 44);
+  const std::int64_t n = xt.numel();
+  for (const auto level : simd::supported_levels()) {
+    const auto& ks = simd::kernels_for(level);
+    std::vector<float> ref_y(static_cast<std::size_t>(n)), ref_dx(static_cast<std::size_t>(n));
+    ks.gelu(xt.data(), ref_y.data(), n);
+    ks.gelu_backward(xt.data(), dyt.data(), ref_dx.data(), n);
+    for (std::int64_t shift = 1; shift < 16; ++shift) {
+      const auto len = static_cast<std::size_t>(n - shift);
+      std::vector<float> y(len), dx(len);
+      ks.gelu(xt.data() + shift, y.data(), n - shift);
+      ks.gelu_backward(xt.data() + shift, dyt.data() + shift, dx.data(), n - shift);
+      EXPECT_EQ(std::memcmp(y.data(), ref_y.data() + shift, len * sizeof(float)), 0)
+          << "gelu at " << simd::to_string(level) << ", shift " << shift;
+      EXPECT_EQ(std::memcmp(dx.data(), ref_dx.data() + shift, len * sizeof(float)), 0)
+          << "gelu_backward at " << simd::to_string(level) << ", shift " << shift;
+    }
+  }
+}
+
+TEST(SimdKernels, GeluEdgeValues) {
+  const float big = std::numeric_limits<float>::max();
+  // Each case runs alone (a scalar tail) and inside a 37-element span at an
+  // offset that puts it in a vector lane.
+  const auto run = [](const simd::Kernels& ks, float x, float dy, bool lane) {
+    std::vector<float> xs(37, 0.5f), dys(37, 1.0f), y(37), dx(37);
+    const std::size_t at = lane ? 5 : 0;
+    xs[at] = x;
+    dys[at] = dy;
+    const std::int64_t n = lane ? 37 : 1;
+    ks.gelu(xs.data(), y.data(), n);
+    ks.gelu_backward(xs.data(), dys.data(), dx.data(), n);
+    return std::pair<float, float>{y[at], dx[at]};
+  };
+  for (const auto level : simd::supported_levels()) {
+    const auto& ks = simd::kernels_for(level);
+    for (const bool lane : {false, true}) {
+      const std::string tag =
+          std::string(simd::to_string(level)) + (lane ? " (vector lane)" : " (tail)");
+      // Signed zeros pass through; GELU'(0) = 1/2 exactly.
+      for (const float z : {0.0f, -0.0f}) {
+        const auto [y, dx] = run(ks, z, 3.0f, lane);
+        EXPECT_EQ(y, 0.0f) << tag;
+        EXPECT_EQ(std::signbit(y), std::signbit(z)) << tag;
+        EXPECT_EQ(dx, 1.5f) << tag;
+      }
+      // Non-finite in, non-finite out: the NaN fence must see it.
+      for (const float v : {kInf, -kInf, kNan}) {
+        const auto [y, dx] = run(ks, v, 1.0f, lane);
+        EXPECT_FALSE(std::isfinite(y)) << tag << ", x = " << v;
+        EXPECT_FALSE(std::isfinite(dx)) << tag << ", x = " << v;
+      }
+      EXPECT_EQ(run(ks, kInf, 1.0f, lane).first, kInf) << tag;
+      for (const float g : {kInf, kNan}) {
+        EXPECT_FALSE(std::isfinite(run(ks, 1.0f, g, lane).second)) << tag << ", dy = " << g;
+        EXPECT_FALSE(std::isfinite(run(ks, -30.0f, g, lane).second)) << tag << ", dy = " << g;
+      }
+      // Large positive x returns x, with gradient dy.
+      for (const float v : {10.0f, 30.0f, 1e3f, 1e30f, big}) {
+        EXPECT_EQ(run(ks, v, 1.0f, lane).first, v) << tag << ", x = " << v;
+      }
+      for (const float v : {10.0f, 30.0f, 1e3f}) {
+        EXPECT_EQ(run(ks, v, 2.0f, lane).second, 2.0f) << tag << ", x = " << v;
+      }
+      // Large negative x returns a zero, never a subnormal. (Where x^2
+      // overflows, the libm form's gradient is inf * 0 = NaN.)
+      for (const float v : {-10.0f, -30.0f, -1e3f, -1e30f, -big}) {
+        EXPECT_EQ(run(ks, v, 1.0f, lane).first, 0.0f) << tag << ", x = " << v;
+      }
+      for (const float v : {-10.0f, -30.0f, -1e3f}) {
+        EXPECT_EQ(run(ks, v, 1.0f, lane).second, 0.0f) << tag << ", x = " << v;
+      }
+      // No subnormal output anywhere on the way down the negative tail.
+      for (float v = -4.0f; v > -20.0f; v -= 0.001f) {
+        const auto [y, dx] = run(ks, v, 1.0f, lane);
+        ASSERT_NE(std::fpclassify(y), FP_SUBNORMAL) << tag << ", x = " << v;
+        ASSERT_NE(std::fpclassify(dx), FP_SUBNORMAL) << tag << ", x = " << v;
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, GeluScalarEntriesAreTheLibmExpressions) {
+  // The scalar entries are exactly these libm expressions, byte for byte:
+  // VOCAB_SIMD=scalar is the cross-ISA reference and must not drift.
+  constexpr float kC = 0.7978845608f;
+  constexpr float kB = 0.044715f;
+  const std::vector<float> xs = gelu_inputs();
+  const Tensor dyt = randn({static_cast<std::int64_t>(xs.size())}, 45);
+  const auto n = static_cast<std::int64_t>(xs.size());
+  std::vector<float> want_y(xs.size()), want_dx(xs.size());
+  for (std::int64_t i = 0; i < n; ++i) {
+    const float x = xs[static_cast<std::size_t>(i)];
+    want_y[static_cast<std::size_t>(i)] = 0.5f * x * (1.0f + std::tanh(kC * (x + kB * x * x * x)));
+    const float u = kC * (x + kB * x * x * x);
+    const float t = std::tanh(u);
+    const float du = kC * (1.0f + 3.0f * kB * x * x);
+    want_dx[static_cast<std::size_t>(i)] =
+        dyt.data()[i] * (0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * du);
+  }
+  const auto& scalar = simd::kernels_for(simd::Level::kScalar);
+  std::vector<float> y(xs.size()), dx(xs.size());
+  scalar.gelu(xs.data(), y.data(), n);
+  scalar.gelu_backward(xs.data(), dyt.data(), dx.data(), n);
+  EXPECT_EQ(std::memcmp(y.data(), want_y.data(), xs.size() * sizeof(float)), 0);
+  EXPECT_EQ(std::memcmp(dx.data(), want_dx.data(), xs.size() * sizeof(float)), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -761,8 +949,11 @@ TEST(MixedPrecision, MasterWeightsAccumulateTinyUpdates) {
 TEST(CheckpointV3, TrainStateRoundTripsAndV2StaysLoadable) {
   const GptConfig cfg = mp_config();
   const GptWeights w = GptWeights::init(cfg, 99);
-  const std::string v3_path = std::string(::testing::TempDir()) + "/simd_ckpt_v3.bin";
-  const std::string v2_path = std::string(::testing::TempDir()) + "/simd_ckpt_v2.bin";
+  // ctest runs this case twice at once (default dispatch and `scalar/`), so
+  // each process writes its own files.
+  const std::string tag = std::to_string(::getpid());
+  const std::string v3_path = std::string(::testing::TempDir()) + "/simd_ckpt_v3_" + tag + ".bin";
+  const std::string v2_path = std::string(::testing::TempDir()) + "/simd_ckpt_v2_" + tag + ".bin";
 
   CheckpointTrainState state;
   state.loss_scale = 1024.0f;
