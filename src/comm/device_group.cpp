@@ -32,6 +32,25 @@ Tensor DeviceGroup::all_gather_rows(int rank, const Tensor& data, const std::str
   return impl_->all_gather_rows(rank, data, tag);
 }
 
+void DeviceGroup::post_all_reduce(int rank, Tensor& data, ReduceOp op, const std::string& tag) {
+  impl_->post(rank, tag, {transport::CollectiveRequest::Kind::kAllReduce, op, 0, &data, nullptr});
+}
+
+void DeviceGroup::post_broadcast(int rank, int root, Tensor& data, const std::string& tag) {
+  impl_->post(rank, tag,
+              {transport::CollectiveRequest::Kind::kBroadcast, ReduceOp::Sum, root, &data,
+               nullptr});
+}
+
+void DeviceGroup::post_all_gather_rows(int rank, const Tensor& data, Tensor& out,
+                                       const std::string& tag) {
+  impl_->post(rank, tag,
+              {transport::CollectiveRequest::Kind::kAllGatherRows, ReduceOp::Sum, 0, &out,
+               &data});
+}
+
+void DeviceGroup::wait(int rank, const std::string& tag) { impl_->wait(rank, tag); }
+
 std::uint64_t DeviceGroup::completed_collectives() const {
   return impl_->completed_collectives();
 }

@@ -75,16 +75,31 @@ class DeviceGroup {
   /// [sum_rows, cols] result. Requires equal column counts.
   Tensor all_gather_rows(int rank, const Tensor& data, const std::string& tag);
 
+  /// Non-blocking halves of the calls above. A post deposits this rank's
+  /// part of the collective named `tag`; wait(rank, tag) blocks until it has
+  /// completed and the result is in the posted buffers, which the caller
+  /// must keep alive and leave alone in between. Several collectives may be
+  /// in flight at once, posted and waited in any order; every rank posts and
+  /// waits each tag once. On a backend without nonblocking_post() the post
+  /// itself runs the blocking rendezvous, so posts must then follow the same
+  /// order on every rank.
+  void post_all_reduce(int rank, Tensor& data, ReduceOp op, const std::string& tag);
+  void post_broadcast(int rank, int root, Tensor& data, const std::string& tag);
+  void post_all_gather_rows(int rank, const Tensor& data, Tensor& out, const std::string& tag);
+  void wait(int rank, const std::string& tag);
+  /// True when posts return without waiting for the other ranks (threads).
+  [[nodiscard]] bool nonblocking_post() const { return impl_->nonblocking_post(); }
+
   /// Number of collectives completed so far (for tests).
   [[nodiscard]] std::uint64_t completed_collectives() const;
 
-  /// Ranks currently blocked inside a rendezvous. Abort-hygiene tests assert
+  /// Ranks currently blocked inside a rendezvous or a wait. Abort-hygiene tests assert
   /// this is empty after a failed iteration has been torn down — a non-empty
   /// result means a device thread leaked mid-collective.
   [[nodiscard]] std::vector<int> waiting_ranks() const;
 
-  /// One-line rendezvous snapshot: arrived count + per-rank waiting tags
-  /// (for watchdog reports).
+  /// One-line snapshot for watchdog reports: the collectives in flight with
+  /// their tags and arrived counts, and the per-rank waiting tags.
   [[nodiscard]] std::string describe() const;
 
  private:

@@ -83,7 +83,16 @@ Tensor InputLayerShard::forward_local(int mb, std::vector<std::int64_t> tokens) 
 }
 
 void InputLayerShard::forward_allreduce(int mb, Tensor& partial, DeviceGroup& group) {
-  group.all_reduce(shard_.rank, partial, ReduceOp::Sum, tag(mb, "fwd"));
+  post_forward_allreduce(mb, partial, group);
+  wait_forward_allreduce(mb, group);
+}
+
+void InputLayerShard::post_forward_allreduce(int mb, Tensor& partial, DeviceGroup& group) {
+  group.post_all_reduce(shard_.rank, partial, ReduceOp::Sum, tag(mb, "fwd"));
+}
+
+void InputLayerShard::wait_forward_allreduce(int mb, DeviceGroup& group) {
+  group.wait(shard_.rank, tag(mb, "fwd"));
 }
 
 Tensor InputLayerShard::forward(int mb, std::vector<std::int64_t> tokens, DeviceGroup& group) {

@@ -57,6 +57,11 @@ class InputLayerShard {
   /// embedding output on every rank (the first stage feeds it onward).
   void forward_allreduce(int mb, Tensor& partial, DeviceGroup& group);
 
+  /// The two halves of forward_allreduce: post the all-reduce, then wait for
+  /// it before the first use of `partial`, which must stay untouched between.
+  void post_forward_allreduce(int mb, Tensor& partial, DeviceGroup& group);
+  void wait_forward_allreduce(int mb, DeviceGroup& group);
+
   /// Convenience: forward_local + forward_allreduce.
   Tensor forward(int mb, std::vector<std::int64_t> tokens, DeviceGroup& group);
 

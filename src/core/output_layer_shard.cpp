@@ -24,6 +24,50 @@ std::string tag(int mb, int barrier, const char* what) {
   return "out:mb" + std::to_string(mb) + ":b" + std::to_string(barrier) + ":" + what;
 }
 
+// Columns of one rank's packed statistics rows; under Alg2 A_d and B_d
+// follow, h columns each.
+constexpr std::int64_t kMaxCol = 0;
+constexpr std::int64_t kSumCol = 1;
+constexpr std::int64_t kTargetCol = 2;
+constexpr std::int64_t kStatCols = 3;
+
+// Per-rank terms of the statistics barrier. Every rank evaluates every
+// rank's term through these, the expressions each rank evaluated for itself
+// before C1 became one gather, so no call site can round or contract them
+// differently.
+float scaled_sum(float local_sum, float local_max, float global_max) {
+  return local_sum * std::exp(local_max - global_max);  // eq. (5) numerator
+}
+
+// Rows [i0, i1) of (A_r * c_r - B_r) * grad_scale (eq. 6); row i of A_r and
+// B_r starts at a + i * stride and b + i * stride.
+void gradx_term(const float* a, const float* b, std::int64_t stride, const float* c,
+                float gscale, std::int64_t h, std::int64_t i0, std::int64_t i1, float* out) {
+  for (std::int64_t i = i0; i < i1; ++i) {
+    const float ci = c[i];
+    const float* pa = a + i * stride;
+    const float* pb = b + i * stride;
+    float* po = out + i * h;
+    for (std::int64_t col = 0; col < h; ++col) po[col] = (pa[col] * ci - pb[col]) * gscale;
+  }
+}
+
+// Column `col` of the gathered rows, summed over ranks in rank order: rank
+// 0's value first, as the sum all-reduce accumulated.
+Tensor fold_sum_column(const Tensor& gathered, std::int64_t n, std::int64_t col) {
+  const std::int64_t cols = gathered.dim(1);
+  const std::int64_t p = gathered.dim(0) / n;
+  const float* pg = gathered.data();
+  Tensor out({n});
+  float* po = out.data();
+  for (std::int64_t i = 0; i < n; ++i) {
+    float acc = pg[i * cols + col];
+    for (std::int64_t r = 1; r < p; ++r) acc += pg[(r * n + i) * cols + col];
+    po[i] = acc;
+  }
+  return out;
+}
+
 // Row-wise softmax' *= rescale over the valid columns (eq. 5 application).
 void rescale_softmax_rows(Tensor& softmax_local, const Tensor& rescale, std::int64_t valid) {
   const std::int64_t n = softmax_local.dim(0), cols = softmax_local.dim(1);
@@ -163,15 +207,53 @@ void OutputLayerShard::compute_phase(int mb, int phase) {
 }
 
 void OutputLayerShard::comm_barrier(int mb, int barrier, DeviceGroup& group) {
+  post_barrier(mb, barrier, group);
+  complete_barrier(mb, barrier, group);
+}
+
+bool OutputLayerShard::is_stats_barrier(int barrier) const {
+  return barrier == (algo_ == OutputAlgo::Naive ? 1 : 0);
+}
+
+std::string OutputLayerShard::barrier_tag(int mb, int barrier) const {
+  if (is_stats_barrier(barrier)) return tag(mb, barrier, "stats");
+  // The rest are all-reduces: Naive's max, and the grad_x reduce (Naive's
+  // last barrier, Alg1's C2).
+  return tag(mb, barrier, algo_ == OutputAlgo::Naive && barrier == 0 ? "max" : "gradx");
+}
+
+void OutputLayerShard::post_barrier(int mb, int barrier, DeviceGroup& group) {
   MbState& s = state(mb);
-  VOCAB_CHECK(barrier == s.barriers_done, "barrier " << barrier << " out of order");
+  VOCAB_CHECK(barrier == s.barriers_done && !s.barrier_posted,
+              "barrier " << barrier << " out of order");
   VOCAB_CHECK(s.phases_done >= barrier + 1,
               "barrier " << barrier << " requires compute phase " << barrier << " first");
-  switch (algo_) {
-    case OutputAlgo::Naive: naive_comm(s, barrier, mb, group); break;
-    case OutputAlgo::Alg1: alg1_comm(s, barrier, mb, group); break;
-    case OutputAlgo::Alg2: alg2_comm(s, barrier, mb, group); break;
+  VOCAB_CHECK(barrier < num_barriers(algo_),
+              to_string(algo_) << " has " << num_barriers(algo_) << " barriers, got " << barrier);
+  const int rank = shard_.rank;
+  const std::string t = barrier_tag(mb, barrier);
+  if (is_stats_barrier(barrier)) {
+    s.rows = pack_rows(s);
+    group.post_all_gather_rows(rank, s.rows, s.gathered, t);
+  } else if (algo_ == OutputAlgo::Naive && barrier == 0) {
+    group.post_all_reduce(rank, s.global_max, ReduceOp::Max, t);
+  } else {
+    group.post_all_reduce(rank, s.grad_x, ReduceOp::Sum, t);
   }
+  s.barrier_posted = true;
+}
+
+void OutputLayerShard::complete_barrier(int mb, int barrier, DeviceGroup& group) {
+  MbState& s = state(mb);
+  VOCAB_CHECK(barrier == s.barriers_done && s.barrier_posted,
+              "barrier " << barrier << " completed before it was posted");
+  group.wait(shard_.rank, barrier_tag(mb, barrier));
+  if (is_stats_barrier(barrier)) {
+    fold_stats(s);
+  } else if (barrier == grad_x_ready_barrier(algo_)) {
+    s.grad_x_ready = true;
+  }
+  s.barrier_posted = false;
   ++s.barriers_done;
 }
 
@@ -244,6 +326,96 @@ Tensor OutputLayerShard::diff_matrix(const MbState& s) const {
   return d;
 }
 
+Tensor OutputLayerShard::pack_rows(MbState& s) const {
+  // Row i: local max, local sum and target-logit partial of token i; under
+  // Alg2 also rows i of A_d and B_d, which leave the state with the post.
+  const std::int64_t n = static_cast<std::int64_t>(s.targets.size());
+  const bool with_ab = algo_ == OutputAlgo::Alg2;
+  const std::int64_t h = hidden_;
+  const std::int64_t cols = kStatCols + (with_ab ? 2 * h : 0);
+  Tensor rows({n, cols});
+  float* pr = rows.data();
+  for (std::int64_t i = 0; i < n; ++i) {
+    float* row = pr + i * cols;
+    row[kMaxCol] = s.local_max.at(i);
+    row[kSumCol] = s.local_sum.at(i);
+    row[kTargetCol] = s.target_logit.at(i);
+    if (with_ab) {
+      std::copy(s.a.data() + i * h, s.a.data() + (i + 1) * h, row + kStatCols);
+      std::copy(s.b.data() + i * h, s.b.data() + (i + 1) * h, row + kStatCols + h);
+    }
+  }
+  if (with_ab) {
+    s.a = Tensor();
+    s.b = Tensor();
+  }
+  return rows;
+}
+
+void OutputLayerShard::fold_stats(MbState& s) {
+  const Tensor& g = s.gathered;
+  const std::int64_t n = static_cast<std::int64_t>(s.targets.size());
+  const std::int64_t cols = g.dim(1);
+  const std::int64_t p = g.dim(0) / n;
+  VOCAB_CHECK(p * n == g.dim(0) && p == shard_.world,
+              "gathered statistics " << g.shape_str() << " do not hold " << shard_.world
+                                     << " ranks of " << n << " rows");
+  const auto row = [&](std::int64_t r, std::int64_t i) { return g.data() + (r * n + i) * cols; };
+
+  s.target_logit = fold_sum_column(g, n, kTargetCol);
+  if (algo_ == OutputAlgo::Naive) {
+    // Naive's local sums were taken against the global max already.
+    s.global_sum = fold_sum_column(g, n, kSumCol);
+  } else {
+    // Rank-order folds, the order the max and sum all-reduces accumulated
+    // in. Separate passes keep each rounded term in memory before the next
+    // expression reads it, so no product can contract into a later sum.
+    s.global_max = Tensor({n});
+    s.global_sum = Tensor({n});
+    s.rescale = Tensor({n});
+    Tensor scaled({p, n});  // every rank's eq. (5) numerator
+    float* pgm = s.global_max.data();
+    float* pgs = s.global_sum.data();
+    float* psc = scaled.data();
+    for (std::int64_t i = 0; i < n; ++i) {
+      float m = row(0, i)[kMaxCol];
+      for (std::int64_t r = 1; r < p; ++r) m = std::max(m, row(r, i)[kMaxCol]);
+      pgm[i] = m;
+    }
+    for (std::int64_t r = 0; r < p; ++r) {
+      for (std::int64_t i = 0; i < n; ++i) {
+        psc[r * n + i] = scaled_sum(row(r, i)[kSumCol], row(r, i)[kMaxCol], pgm[i]);
+      }
+    }
+    for (std::int64_t i = 0; i < n; ++i) pgs[i] = psc[i];
+    for (std::int64_t r = 1; r < p; ++r) {
+      for (std::int64_t i = 0; i < n; ++i) pgs[i] += psc[r * n + i];
+    }
+    for (std::int64_t i = 0; i < n; ++i) s.rescale.at(i) = psc[shard_.rank * n + i] / pgs[i];
+    if (algo_ == OutputAlgo::Alg2) {
+      // eq. (6): grad_X = Reduce(A * c - B), every rank's term with that
+      // rank's own rescale c_r, summed in rank order.
+      const std::int64_t h = hidden_;
+      s.grad_x = Tensor({n, h});
+      Tensor term({n, h});
+      Tensor c({n});
+      for (std::int64_t r = 0; r < p; ++r) {
+        for (std::int64_t i = 0; i < n; ++i) c.at(i) = psc[r * n + i] / pgs[i];
+        float* out = r == 0 ? s.grad_x.data() : term.data();
+        const float* a = row(r, 0) + kStatCols;
+        parallel::parallel_for(0, n, stats_grain(h), [&](std::int64_t i0, std::int64_t i1) {
+          gradx_term(a, a + h, cols, c.data(), s.grad_scale, h, i0, i1, out);
+        });
+        if (r > 0) add_inplace(s.grad_x, term);
+      }
+      s.grad_x_ready = true;
+    }
+  }
+  finalize_loss(s);
+  s.rows = Tensor();
+  s.gathered = Tensor();
+}
+
 // ---- naive: 3 barriers ------------------------------------------------------
 
 void OutputLayerShard::naive_compute(MbState& s, int phase) {
@@ -281,7 +453,6 @@ void OutputLayerShard::naive_compute(MbState& s, int phase) {
           psum[i] = static_cast<float>(ks.reduce_sum(psm + i * cols, valid));
         }
       });
-      s.global_sum = s.local_sum;  // reduced in place by barrier 1
       s.logits = Tensor();         // logits no longer needed
       break;
     }
@@ -310,24 +481,6 @@ void OutputLayerShard::naive_compute(MbState& s, int phase) {
   }
 }
 
-void OutputLayerShard::naive_comm(MbState& s, int barrier, int mb, DeviceGroup& group) {
-  switch (barrier) {
-    case 0:
-      group.all_reduce(shard_.rank, s.global_max, ReduceOp::Max, tag(mb, 0, "max"));
-      break;
-    case 1:
-      group.all_reduce(shard_.rank, s.global_sum, ReduceOp::Sum, tag(mb, 1, "sum"));
-      group.all_reduce(shard_.rank, s.target_logit, ReduceOp::Sum, tag(mb, 1, "ytgt"));
-      finalize_loss(s);
-      break;
-    case 2:
-      group.all_reduce(shard_.rank, s.grad_x, ReduceOp::Sum, tag(mb, 2, "gradx"));
-      s.grad_x_ready = true;
-      break;
-    default: VOCAB_FAIL("naive has 3 barriers, got " << barrier);
-  }
-}
-
 // ---- Algorithm 1: 2 barriers -------------------------------------------------
 
 void OutputLayerShard::alg1_compute(MbState& s, int phase) {
@@ -351,33 +504,6 @@ void OutputLayerShard::alg1_compute(MbState& s, int phase) {
     case 2:
       break;  // trailing phase is empty: grad_x lands in barrier C2
     default: VOCAB_FAIL("alg1 has 3 compute phases, got " << phase);
-  }
-}
-
-void OutputLayerShard::alg1_comm(MbState& s, int barrier, int mb, DeviceGroup& group) {
-  switch (barrier) {
-    case 0: {  // C1: lightweight [bs]-sized statistics exchange (eq. 5)
-      s.global_max = s.local_max;
-      group.all_reduce(shard_.rank, s.global_max, ReduceOp::Max, tag(mb, 0, "max"));
-      const std::int64_t n = s.local_sum.dim(0);
-      Tensor scaled_sum({n});
-      for (std::int64_t i = 0; i < n; ++i) {
-        scaled_sum.at(i) = s.local_sum.at(i) *
-                           std::exp(s.local_max.at(i) - s.global_max.at(i));
-      }
-      s.global_sum = scaled_sum;
-      group.all_reduce(shard_.rank, s.global_sum, ReduceOp::Sum, tag(mb, 0, "sum"));
-      s.rescale = Tensor({n});
-      for (std::int64_t i = 0; i < n; ++i) s.rescale.at(i) = scaled_sum.at(i) / s.global_sum.at(i);
-      group.all_reduce(shard_.rank, s.target_logit, ReduceOp::Sum, tag(mb, 0, "ytgt"));
-      finalize_loss(s);
-      break;
-    }
-    case 1:  // C2: reduce the input gradient (NCCL AllReduce in the paper)
-      group.all_reduce(shard_.rank, s.grad_x, ReduceOp::Sum, tag(mb, 1, "gradx"));
-      s.grad_x_ready = true;
-      break;
-    default: VOCAB_FAIL("alg1 has 2 barriers, got " << barrier);
   }
 }
 
@@ -419,45 +545,6 @@ void OutputLayerShard::alg2_compute(MbState& s, int phase) {
   }
 }
 
-void OutputLayerShard::alg2_comm(MbState& s, int barrier, int mb, DeviceGroup& group) {
-  VOCAB_CHECK(barrier == 0, "alg2 has a single barrier");
-  // C1: statistics exchange as in Alg. 1 ...
-  s.global_max = s.local_max;
-  group.all_reduce(shard_.rank, s.global_max, ReduceOp::Max, tag(mb, 0, "max"));
-  const std::int64_t n = s.local_sum.dim(0);
-  Tensor scaled_sum({n});
-  for (std::int64_t i = 0; i < n; ++i) {
-    scaled_sum.at(i) = s.local_sum.at(i) * std::exp(s.local_max.at(i) - s.global_max.at(i));
-  }
-  s.global_sum = scaled_sum;
-  group.all_reduce(shard_.rank, s.global_sum, ReduceOp::Sum, tag(mb, 0, "sum"));
-  s.rescale = Tensor({n});
-  for (std::int64_t i = 0; i < n; ++i) s.rescale.at(i) = scaled_sum.at(i) / s.global_sum.at(i);
-  group.all_reduce(shard_.rank, s.target_logit, ReduceOp::Sum, tag(mb, 0, "ytgt"));
-  finalize_loss(s);
-  // ... plus eq. (6): grad_X = Reduce(A * c - B), only lightweight work here
-  // since both matmuls were pre-computed in S.
-  const std::int64_t h = s.a.dim(1);
-  s.grad_x = Tensor({n, h});
-  const float* pr = s.rescale.data();
-  const float* pa = s.a.data();
-  const float* pb = s.b.data();
-  float* pgx = s.grad_x.data();
-  const float gscale = s.grad_scale;
-  parallel::parallel_for(0, n, stats_grain(h), [&](std::int64_t i0, std::int64_t i1) {
-    for (std::int64_t i = i0; i < i1; ++i) {
-      const float c = pr[i];
-      for (std::int64_t col = 0; col < h; ++col) {
-        pgx[i * h + col] = (pa[i * h + col] * c - pb[i * h + col]) * gscale;
-      }
-    }
-  });
-  group.all_reduce(shard_.rank, s.grad_x, ReduceOp::Sum, tag(mb, 0, "gradx"));
-  s.grad_x_ready = true;
-  s.a = Tensor();
-  s.b = Tensor();
-}
-
 // ---- results / lifecycle -----------------------------------------------------
 
 float OutputLayerShard::loss(int mb) const {
@@ -470,6 +557,13 @@ const Tensor& OutputLayerShard::grad_x(int mb) const {
   const MbState& s = state(mb);
   VOCAB_CHECK(s.grad_x_ready, "grad_x for microbatch " << mb << " not yet reduced");
   return s.grad_x;
+}
+
+const Tensor& OutputLayerShard::rescale(int mb) const {
+  const MbState& s = state(mb);
+  VOCAB_CHECK(algo_ != OutputAlgo::Naive && s.barriers_done >= 1,
+              "rescale for microbatch " << mb << " not yet computed");
+  return s.rescale;
 }
 
 void OutputLayerShard::finish_microbatch(int mb) {
@@ -496,6 +590,8 @@ std::size_t OutputLayerShard::live_activation_bytes() const {
     count(s.a);
     count(s.b);
     count(s.grad_x);
+    count(s.rows);
+    count(s.gathered);
   }
   return bytes;
 }

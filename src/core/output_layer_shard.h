@@ -16,8 +16,16 @@
 // rescaling barrier of eq. (5) and — for Algorithm 2 — the gradX reduce of
 // eq. (6) whose matmuls (softmax'(Y)·W and G·W) were pre-computed inside S.
 //
-// The class exposes the phases individually so pipeline runtimes can place
-// the barriers on a communication stream and interleave transformer passes,
+// Each barrier is one collective. C1 gathers every rank's packed statistics
+// (local max, local sum, target-logit partial; under Alg2 also A_d and B_d)
+// in a single all_gather_rows, and every rank folds the rows in rank order
+// with the expressions the per-rank code used before — the order the max and
+// sum all-reduces accumulated in, so results are bit-identical to reducing
+// them one all-reduce at a time.
+//
+// The class exposes the phases individually, and each barrier as a post and
+// a completion, so pipeline runtimes can start a barrier as soon as its
+// inputs exist and interleave transformer passes until its result is needed,
 // exactly as the paper's scheduler does. A convenience run_all() drives a
 // whole microbatch for kernel-level tests/benches.
 
@@ -104,9 +112,19 @@ class OutputLayerShard {
   /// Run compute phase `phase` (0 = S, ..., last = T) for microbatch `mb`.
   void compute_phase(int mb, int phase);
 
-  /// Run communication barrier `barrier` (0-based) for microbatch `mb`.
-  /// Every rank of `group` must call with the same mb/barrier order.
+  /// Run communication barrier `barrier` (0-based) for microbatch `mb`:
+  /// post_barrier then complete_barrier. Each barrier is one collective on
+  /// `group`; every rank must run the same barriers.
   void comm_barrier(int mb, int barrier, DeviceGroup& group);
+
+  /// First half of a barrier: post this rank's contribution to the barrier's
+  /// collective. On a backend with DeviceGroup::nonblocking_post() it returns
+  /// without waiting for the other ranks.
+  void post_barrier(int mb, int barrier, DeviceGroup& group);
+
+  /// Second half: wait for the barrier's collective, then fold its result
+  /// into the microbatch's state (loss, rescale, grad_x).
+  void complete_barrier(int mb, int barrier, DeviceGroup& group);
 
   /// Mean cross-entropy loss; identical on all ranks. Valid once the barrier
   /// that all-reduces the softmax statistics has run (barrier 1 for Naive,
@@ -115,6 +133,10 @@ class OutputLayerShard {
 
   /// Gradient w.r.t. x [n, h]; valid after grad_x_ready_barrier(algo()).
   [[nodiscard]] const Tensor& grad_x(int mb) const;
+
+  /// This shard's eq. (5) rescale c_i = sum'_i e^{m'_i - m_i} / sum_i [n]
+  /// (Alg1/Alg2); valid once barrier 0 has completed.
+  [[nodiscard]] const Tensor& rescale(int mb) const;
 
   /// Drop all per-microbatch state (activation memory release).
   void finish_microbatch(int mb);
@@ -149,9 +171,12 @@ class OutputLayerShard {
     Tensor a;             // Alg2: softmax'(Y) W_d  [n, h]
     Tensor b;             // Alg2: G_d W_d          [n, h]
     Tensor grad_x;        // [n, h]
+    Tensor rows;          // this rank's packed C1 contribution (see pack_rows)
+    Tensor gathered;      // every rank's rows, in rank order, after the gather
     float loss = 0.0f;
     bool loss_ready = false;
     bool grad_x_ready = false;
+    bool barrier_posted = false;  // barrier `barriers_done` posted, not completed
   };
 
   MbState& state(int mb);
@@ -159,11 +184,15 @@ class OutputLayerShard {
 
   // Per-algorithm phase bodies.
   void naive_compute(MbState& s, int phase);
-  void naive_comm(MbState& s, int barrier, int mb, DeviceGroup& group);
   void alg1_compute(MbState& s, int phase);
-  void alg1_comm(MbState& s, int barrier, int mb, DeviceGroup& group);
   void alg2_compute(MbState& s, int phase);
-  void alg2_comm(MbState& s, int barrier, int mb, DeviceGroup& group);
+
+  // The statistics barrier (Naive's second, C1 otherwise) is one gather of
+  // each rank's packed rows; every rank then folds all ranks' rows.
+  [[nodiscard]] bool is_stats_barrier(int barrier) const;
+  [[nodiscard]] std::string barrier_tag(int mb, int barrier) const;
+  Tensor pack_rows(MbState& s) const;
+  void fold_stats(MbState& s);
 
   // Shared helpers.
   void compute_logits_masked(MbState& s);       // Y = X W_d^T with padding mask

@@ -411,12 +411,17 @@ void PipelineTrainer::guard_boundary(int d, Tensor& t, const char* what) {
 // ---------------------------------------------------------------------------
 
 void PipelineTrainer::compute_clip_device(int d) {
+  post_clip_device(d);
+  complete_clip_device(d);
+}
+
+void PipelineTrainer::post_clip_device(int d) {
   Device& dev = *devices_[static_cast<std::size_t>(d)];
   ClipState& cs = clip_state_[static_cast<std::size_t>(d)];
   const guard::ClipUnitLayout layout{config_.num_layers, config_.vocab,
                                      config_.tie_embeddings};
-  Tensor units({layout.total_units()});
-  float* u = units.data();
+  cs.units = Tensor({layout.total_units()});
+  float* u = cs.units.data();
 
   const int layers_per_stage = config_.num_layers / num_stages();
   const auto fill_stack = [&](TransformerStack& stack, int stage) {
@@ -481,9 +486,14 @@ void PipelineTrainer::compute_clip_device(int d) {
     }
   }
 
-  if (p_ > 1) group_->all_reduce(d, units, ReduceOp::Sum, "clipAR");
+  if (p_ > 1) group_->post_all_reduce(d, cs.units, ReduceOp::Sum, "clipAR");
+}
 
-  const std::vector<float> unit_vec(units.data(), units.data() + units.numel());
+void PipelineTrainer::complete_clip_device(int d) {
+  ClipState& cs = clip_state_[static_cast<std::size_t>(d)];
+  if (p_ > 1) group_->wait(d, "clipAR");
+  const std::vector<float> unit_vec(cs.units.data(), cs.units.data() + cs.units.numel());
+  cs.units = Tensor();
   // Mixed precision: the gradients (and hence the norm) carry the loss scale
   // S, so the decision clips against S * max_norm — the resulting scale is
   // the same one the unscaled gradients would get — and the reported norm
@@ -516,6 +526,8 @@ struct PipelineTrainer::ScheduledIteration final : OpRunner {
     std::map<std::pair<int, int>, Tensor> grad;      // (stage, mb) same-device handoff
     std::map<int, Tensor> grad0;                     // mb -> stage-0 input grad (jBC root)
     std::map<int, Tensor> jgrad;                     // mb -> broadcast input-layer grad
+    std::map<int, Tensor> bcast_x;                   // mb -> C0 buffer, post to completion
+    std::map<int, Tensor> bcast_grad;                // mb -> jBC buffer, post to completion
     std::map<int, bool> output_done;                 // all phases + barriers executed
     std::map<int, bool> grad_taken;                  // grad_x consumed by B(last stage)
   };
@@ -643,53 +655,113 @@ struct PipelineTrainer::ScheduledIteration final : OpRunner {
     }
   }
 
-  void run_collective(const Op& op) {
+  /// The collectives of a schedule, by label prefix.
+  enum class CollectiveKind { kInputAllReduce, kBroadcastX, kC1, kC2, kBroadcastGrad, kClip };
+
+  static CollectiveKind collective_kind(const std::string& label) {
+    if (label.rfind("iAR", 0) == 0) return CollectiveKind::kInputAllReduce;
+    if (label.rfind("C0", 0) == 0) return CollectiveKind::kBroadcastX;
+    if (label.rfind("C1", 0) == 0) return CollectiveKind::kC1;
+    if (label.rfind("C2", 0) == 0) return CollectiveKind::kC2;
+    if (label.rfind("jBC", 0) == 0) return CollectiveKind::kBroadcastGrad;
+    VOCAB_CHECK(label == "clipAR", "unknown collective label '" << label << "'");
+    return CollectiveKind::kClip;
+  }
+
+  [[nodiscard]] bool overlaps_collectives() const override {
+    return tr.group_ != nullptr && tr.group_->nonblocking_post();
+  }
+
+  /// Deposit this device's part of a collective. Every buffer handed to the
+  /// group lives in DeviceState maps (stable addresses) until completion.
+  void post_collective(const Op& op) override {
     const int d = op.device;
     const int mb = op.microbatch;
     DeviceState& ds = state[static_cast<std::size_t>(d)];
     Device& dev = *tr.devices_[static_cast<std::size_t>(d)];
     DeviceGroup& group = *tr.group_;
-    const std::string& label = op.label;
+    switch (collective_kind(op.label)) {
+      case CollectiveKind::kInputAllReduce:
+        dev.input->post_forward_allreduce(mb, ds.embed_partial.at(mb), group);
+        break;
+      case CollectiveKind::kBroadcastX: {
+        const int root = tr.device_of_stage(last_stage());
+        Tensor& x_last = ds.bcast_x[mb];
+        if (d == root) {
+          x_last = std::move(ds.last_y.at(mb));
+          ds.last_y.erase(mb);
+        }
+        group.post_broadcast(d, root, x_last, "C0:mb" + std::to_string(mb));
+        break;
+      }
+      case CollectiveKind::kC1:
+        dev.output->post_barrier(mb, 0, group);
+        break;
+      case CollectiveKind::kC2:
+        dev.output->post_barrier(mb, 1, group);
+        break;
+      case CollectiveKind::kBroadcastGrad: {
+        Tensor& g = ds.bcast_grad[mb];
+        if (d == 0) {
+          g = std::move(ds.grad0.at(mb));
+          ds.grad0.erase(mb);
+        }
+        group.post_broadcast(d, /*root=*/0, g, "jBC:mb" + std::to_string(mb));
+        break;
+      }
+      case CollectiveKind::kClip:
+        tr.post_clip_device(d);
+        break;
+    }
+  }
 
-    if (label.rfind("iAR", 0) == 0) {
-      dev.input->forward_allreduce(mb, ds.embed_partial.at(mb), group);
-      tr.guard_boundary(d, ds.embed_partial.at(mb), "embedding all-reduce output");
-      // Only the stage-0 host consumes the all-reduced embedding output.
-      if (d != 0) ds.embed_partial.erase(mb);
-    } else if (label.rfind("C0", 0) == 0) {
-      const int root = tr.device_of_stage(last_stage());
-      Tensor x_last;
-      if (d == root) {
-        x_last = std::move(ds.last_y.at(mb));
-        ds.last_y.erase(mb);
+  /// Wait for a posted collective and hand its result to this device.
+  void complete_collective(const Op& op) override {
+    const int d = op.device;
+    const int mb = op.microbatch;
+    DeviceState& ds = state[static_cast<std::size_t>(d)];
+    Device& dev = *tr.devices_[static_cast<std::size_t>(d)];
+    DeviceGroup& group = *tr.group_;
+    switch (collective_kind(op.label)) {
+      case CollectiveKind::kInputAllReduce:
+        dev.input->wait_forward_allreduce(mb, group);
+        tr.guard_boundary(d, ds.embed_partial.at(mb), "embedding all-reduce output");
+        // Only the stage-0 host consumes the all-reduced embedding output.
+        if (d != 0) ds.embed_partial.erase(mb);
+        break;
+      case CollectiveKind::kBroadcastX: {
+        group.wait(d, "C0:mb" + std::to_string(mb));
+        Tensor x_last = std::move(ds.bcast_x.at(mb));
+        ds.bcast_x.erase(mb);
+        tr.guard_boundary(d, x_last, "broadcast last-stage activation");
+        dev.output->start_microbatch(mb, std::move(x_last),
+                                     mbs[static_cast<std::size_t>(mb)].targets, grad_scale);
+        ds.output_done[mb] = false;
+        // Only the root's B(last) consumes grad_x.
+        ds.grad_taken[mb] = d != tr.device_of_stage(last_stage());
+        break;
       }
-      group.broadcast(d, root, x_last, "C0:mb" + std::to_string(mb));
-      tr.guard_boundary(d, x_last, "broadcast last-stage activation");
-      dev.output->start_microbatch(mb, std::move(x_last),
-                                   mbs[static_cast<std::size_t>(mb)].targets, grad_scale);
-      ds.output_done[mb] = false;
-      ds.grad_taken[mb] = d != root;  // only the root's B(last) consumes grad_x
-    } else if (label.rfind("C1", 0) == 0) {
-      dev.output->comm_barrier(mb, 0, group);
-      if (d == 0) losses[static_cast<std::size_t>(mb)] = dev.output->loss(mb);
-    } else if (label.rfind("C2", 0) == 0) {
-      dev.output->comm_barrier(mb, 1, group);
-      dev.output->compute_phase(mb, 2);  // Alg1's empty trailing phase
-      ds.output_done[mb] = true;
-      maybe_finish_output(ds, dev, mb);
-    } else if (label.rfind("jBC", 0) == 0) {
-      Tensor g;
-      if (d == 0) {
-        g = std::move(ds.grad0.at(mb));
-        ds.grad0.erase(mb);
+      case CollectiveKind::kC1:
+        dev.output->complete_barrier(mb, 0, group);
+        if (d == 0) losses[static_cast<std::size_t>(mb)] = dev.output->loss(mb);
+        break;
+      case CollectiveKind::kC2:
+        dev.output->complete_barrier(mb, 1, group);
+        dev.output->compute_phase(mb, 2);  // Alg1's empty trailing phase
+        ds.output_done[mb] = true;
+        maybe_finish_output(ds, dev, mb);
+        break;
+      case CollectiveKind::kBroadcastGrad: {
+        group.wait(d, "jBC:mb" + std::to_string(mb));
+        Tensor g = std::move(ds.bcast_grad.at(mb));
+        ds.bcast_grad.erase(mb);
+        tr.guard_boundary(d, g, "broadcast input-layer gradient");
+        ds.jgrad.emplace(mb, std::move(g));
+        break;
       }
-      group.broadcast(d, /*root=*/0, g, "jBC:mb" + std::to_string(mb));
-      tr.guard_boundary(d, g, "broadcast input-layer gradient");
-      ds.jgrad.emplace(mb, std::move(g));
-    } else if (label == "clipAR") {
-      tr.compute_clip_device(d);
-    } else {
-      VOCAB_FAIL("unknown collective label '" << label << "'");
+      case CollectiveKind::kClip:
+        tr.complete_clip_device(d);
+        break;
     }
   }
 
@@ -740,8 +812,7 @@ struct PipelineTrainer::ScheduledIteration final : OpRunner {
         ds.jgrad.erase(op.microbatch);
         break;
       case OpKind::Collective:
-        run_collective(op);
-        break;
+        VOCAB_FAIL("collective '" << op.label << "' dispatched as a plain op");
       case OpKind::Sync:
         break;
     }

@@ -247,8 +247,12 @@ class PipelineTrainer {
   ScheduleExecutor& executor_for(int m, bool with_clip);
   /// Fill this device's clip units, all-reduce them, and record the clip
   /// decision in clip_state_[d]. Runs on device d's thread; every device
-  /// must call it (collectively) when clipping is active and p > 1.
+  /// must call it (collectively) when clipping is active and p > 1. The
+  /// clipAR schedule op runs it as a post (units filled, all-reduce posted)
+  /// and a completion (wait, decision).
   void compute_clip_device(int d);
+  void post_clip_device(int d);
+  void complete_clip_device(int d);
   /// Fault-corruption + NaN-fence point for a tensor device `d` just
   /// produced (applies any armed data fault first, then fences).
   void guard_boundary(int d, Tensor& t, const char* what);
@@ -298,6 +302,7 @@ class PipelineTrainer {
     float norm = 0.0f;
     bool tied_combined = false;  // folded tied: grads already merged pre-clip
     Tensor combined_grad;        // vocab-sharded tied: out+in grad, pre-scale
+    Tensor units;                // clip units, posted to completion of clipAR
   };
   bool clip_active_ = false;     // this iteration computes the global norm
   float clip_max_norm_ = 0.0f;

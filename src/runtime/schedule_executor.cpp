@@ -41,6 +41,31 @@ ScheduleExecutor::ScheduleExecutor(PipelineSchedule schedule, int total_threads)
   program::verify_program_or_throw(program_, &schedule_);
   sequences_ = program::device_sequences(program_);
 
+  // Overlap plan: post each collective at the first boundary after its
+  // same-device dependencies. One pass over the ops and their edges.
+  position_.assign(schedule_.ops.size(), -1);
+  for (const std::vector<int>& seq : sequences_) {
+    for (std::size_t i = 0; i < seq.size(); ++i) {
+      position_[static_cast<std::size_t>(seq[i])] = static_cast<int>(i);
+    }
+  }
+  posts_at_.resize(sequences_.size());
+  for (std::size_t d = 0; d < sequences_.size(); ++d) {
+    const std::vector<int>& seq = sequences_[d];
+    posts_at_[d].resize(seq.size() + 1);
+    for (const int id : seq) {
+      const Op& op = schedule_.op(id);
+      if (op.kind != OpKind::Collective) continue;
+      int boundary = 0;
+      for (const int dep : op.deps) {
+        if (schedule_.op(dep).device == op.device) {
+          boundary = std::max(boundary, position_[static_cast<std::size_t>(dep)] + 1);
+        }
+      }
+      posts_at_[d][static_cast<std::size_t>(boundary)].push_back(id);
+    }
+  }
+
   // Partition the intra-op thread budget across the device threads.
   const int total = total_threads > 0 ? total_threads : parallel::num_threads();
   const int per_device = total / std::max(schedule_.num_devices, 1);
@@ -102,12 +127,17 @@ void ScheduleExecutor::run_device(OpRunner& runner, int device, AbortToken& toke
   // Route this lane's parallel_for to its private pool slice (or force
   // serial when the machine is narrower than the pipeline).
   parallel::ScopedPool scope(pools_.empty() ? nullptr : pools_[lane].get());
+  const std::vector<int>& seq = sequences_[lane];
+  const bool overlap = runner.overlaps_collectives();
+  std::vector<char> pending(overlap ? seq.size() : 0, 0);  // by position: posted, not completed
   double compute = 0.0;
+  double waited = 0.0;
   int current_op = -1;
   bool ops_done = false;
   // Stats time ops only: the clock stops before the end-of-lane hook.
   const auto stop_clock = [&] {
     stats_.compute_seconds[lane] = compute;
+    stats_.collective_wait_seconds[lane] = waited;
     result.ops_end = Clock::now();
   };
   // Only the lane whose abort() wins is the originating failure; a losing
@@ -117,17 +147,68 @@ void ScheduleExecutor::run_device(OpRunner& runner, int device, AbortToken& toke
     return token.abort(AbortReason{device, current_op, what}) ? Outcome::kFailed
                                                               : Outcome::kAborted;
   };
+  // Make op `id` the one a failure, the watchdog and the fence attribute to.
+  const auto announce = [&](int id, const Op& op) {
+    current_op = id;
+    if (watchdog != nullptr) watchdog->heartbeat(device, id);
+    if (fence_ != nullptr && fence_->active()) fence_->begin_op(device, op.label, op.microbatch);
+  };
+  // The prologue of every op at its place in the sequence. The fault plan
+  // addresses ops by that place, so an op index names the same op whether
+  // or not collectives overlap.
+  const auto reach = [&](int id, const Op& op) {
+    // Devices busy computing (not blocked in a wait) still stop at the
+    // next op boundary after a peer fails.
+    token.throw_if_aborted("device " + std::to_string(device) + " before op '" + op.label +
+                           "'");
+    announce(id, op);
+    if (injector_ != nullptr) injector_->on_op(device, id, op.label, &token);
+  };
+  // A collective's result stays attributed to the collective op, not to
+  // the op that consumes it.
+  const auto complete = [&](int id) {
+    const Op& op = schedule_.op(id);
+    announce(id, op);
+    const auto t0 = Clock::now();
+    runner.complete_collective(op);
+    waited += seconds_since(t0);
+    pending[static_cast<std::size_t>(position_[static_cast<std::size_t>(id)])] = 0;
+  };
+  const auto complete_inputs = [&](const Op& op) {
+    for (const int dep : op.deps) {
+      if (schedule_.op(dep).device != device) continue;
+      if (pending[static_cast<std::size_t>(position_[static_cast<std::size_t>(dep)])] != 0) {
+        complete(dep);
+      }
+    }
+  };
   try {
-    for (const int id : sequences_[lane]) {
-      current_op = id;
+    for (std::size_t b = 0; b <= seq.size(); ++b) {
+      if (overlap) {
+        for (const int id : posts_at_[lane][b]) {
+          const Op& op = schedule_.op(id);
+          complete_inputs(op);  // a collective may consume another (clipAR)
+          token.throw_if_aborted("device " + std::to_string(device) + " before posting '" +
+                                 op.label + "'");
+          announce(id, op);
+          runner.post_collective(op);
+          pending[static_cast<std::size_t>(position_[static_cast<std::size_t>(id)])] = 1;
+        }
+      }
+      if (b == seq.size()) break;
+      const int id = seq[b];
       const Op& op = schedule_.op(id);
-      // Devices busy computing (not blocked in a wait) still stop at the
-      // next op boundary after a peer fails.
-      token.throw_if_aborted("device " + std::to_string(device) + " before op '" + op.label +
-                             "'");
-      if (watchdog != nullptr) watchdog->heartbeat(device, id);
-      if (injector_ != nullptr) injector_->on_op(device, id, op.label, &token);
-      if (fence_ != nullptr && fence_->active()) fence_->begin_op(device, op.label, op.microbatch);
+      if (op.kind == OpKind::Collective) {
+        reach(id, op);
+        if (overlap) continue;  // posted at its boundary, completed where consumed
+        const auto t0 = Clock::now();
+        runner.post_collective(op);
+        runner.complete_collective(op);
+        waited += seconds_since(t0);
+        continue;
+      }
+      if (overlap) complete_inputs(op);
+      reach(id, op);
       if (op.stream == Stream::Compute) {
         const auto op_t0 = Clock::now();
         runner.run_op(op);
@@ -135,6 +216,10 @@ void ScheduleExecutor::run_device(OpRunner& runner, int device, AbortToken& toke
       } else {
         runner.run_op(op);
       }
+    }
+    // Every posted collective completes before the end-of-lane hook.
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+      if (pending[i] != 0) complete(seq[i]);
     }
     ops_done = true;
     stop_clock();
@@ -176,6 +261,7 @@ void ScheduleExecutor::execute(OpRunner& runner, int only_device) {
   const int p = schedule_.num_devices;
   stats_.wall_seconds = 0.0;
   stats_.compute_seconds.assign(static_cast<std::size_t>(p), 0.0);
+  stats_.collective_wait_seconds.assign(static_cast<std::size_t>(p), 0.0);
 
   // A run over an already-aborted token would have every comm wait throw
   // immediately; the owner must rebuild (or reset) first.

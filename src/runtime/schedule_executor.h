@@ -26,13 +26,21 @@
 // incomplete op in the order always has its producers completed, so the
 // execution cannot deadlock.
 //
+// Collectives overlap compute where the transport allows it
+// (OpRunner::overlaps_collectives): a device posts a collective at the first
+// op boundary after its same-device dependencies ran and waits on it just
+// before the first op that consumes it. A post never blocks and a wait
+// happens no earlier than the blocking call it replaces, so every blocked
+// wait still points backward in the common order and the certificate above
+// still holds (DESIGN.md §10).
+//
 // Compilation as a static check
 // -----------------------------
 // The executor compiles its schedule to per-device bytecode at construction
 // and statically re-verifies the program against the source (translation
 // validation; see src/program). run() walks the compiled program's
 // projected op-id sequences; cross-device ordering emerges from the
-// trainer's blocking channel recvs and collective rendezvous.
+// trainer's blocking channel recvs and collective waits.
 //
 // One lane body
 // -------------
@@ -70,14 +78,25 @@ class ThreadPool;
 namespace vocab {
 
 /// Callback interface the trainer implements: executes one op's numerics.
-/// `run_op` is invoked on the device thread of `op.device`; ops of one
-/// device never run concurrently with each other, ops of different devices
-/// do. Collective members are invoked on every member device; the runner is
-/// expected to rendezvous them (e.g. through a DeviceGroup).
+/// Every call for an op of `op.device` is made on that device's thread; ops
+/// of one device never run concurrently with each other, ops of different
+/// devices do. A collective op is split in two: post_collective deposits the
+/// device's contribution, complete_collective waits for the result and
+/// consumes it. Runners that do not split (the default) run the whole
+/// collective in run_op.
 class OpRunner {
  public:
   virtual ~OpRunner() = default;
   virtual void run_op(const Op& op) = 0;
+  /// Whether post_collective returns without waiting for the other members.
+  /// If so, the executor posts each collective at the first op boundary
+  /// after its same-device dependencies ran and completes it just before the
+  /// first same-device op that depends on it (the rest before the end-of-lane
+  /// hook). Otherwise both halves run at the op's place in the device
+  /// sequence, one after the other.
+  [[nodiscard]] virtual bool overlaps_collectives() const { return false; }
+  virtual void post_collective(const Op& op) { run_op(op); }
+  virtual void complete_collective(const Op& /*op*/) {}
   /// End-of-lane hook, invoked on `device`'s thread after its last op. It
   /// runs after the watchdog stops monitoring the lane and outside the op
   /// timing, but inside the failure protocol: a throw here aborts the run
@@ -91,9 +110,13 @@ struct ExecutorStats {
   /// From the start of the run until the last lane's last op returned.
   double wall_seconds = 0.0;
   /// Per device: seconds spent inside compute-stream ops (transformer and
-  /// vocabulary passes). Communication waits inside those ops count as busy,
-  /// so 1 - busy/wall is a lower bound on the true idle fraction.
+  /// vocabulary passes). P2P receives inside those ops count as busy;
+  /// collective waits never do.
   std::vector<double> compute_seconds;
+  /// Per device: seconds spent completing collectives — waiting for the
+  /// other members and taking the result — plus, where posts block, the
+  /// posts themselves.
+  std::vector<double> collective_wait_seconds;
 
   [[nodiscard]] double idle_fraction(int device) const;
 };
@@ -114,7 +137,8 @@ class ScheduleExecutor {
   ScheduleExecutor& operator=(const ScheduleExecutor&) = delete;
 
   /// Execute every op of the schedule once: p device threads, each invoking
-  /// `runner.run_op` over its sequence in the certified order and then
+  /// the runner over its sequence in the certified order (collectives posted
+  /// early and completed late when the runner overlaps them) and then
   /// `runner.finish_lane`.
   ///
   /// Failure protocol: the first device-thread exception aborts the shared
@@ -190,6 +214,11 @@ class ScheduleExecutor {
   PipelineSchedule schedule_;
   program::CompiledProgram program_;        // compiled + statically verified
   std::vector<std::vector<int>> sequences_;  // per device, op ids in issue order
+  std::vector<int> position_;                // op id -> index in its device's sequence
+  // Per device and op boundary b (before sequence position b; b = size is
+  // the lane end): the collectives whose same-device dependencies all
+  // precede b, in sequence order. Used when the runner overlaps collectives.
+  std::vector<std::vector<std::vector<int>>> posts_at_;
   std::vector<std::unique_ptr<parallel::ThreadPool>> pools_;  // per device; empty when serial
   int threads_per_device_ = 1;
   ExecutorStats stats_;

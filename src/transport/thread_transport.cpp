@@ -138,9 +138,7 @@ std::string ThreadMailbox::describe() const {
 ThreadCollective::ThreadCollective(int world_size, std::chrono::milliseconds timeout)
     : world_size_(world_size),
       timeout_(timeout == kCommTimeoutFromEnv ? default_comm_timeout() : timeout),
-      slots_(static_cast<std::size_t>(std::max(world_size, 1))),
-      tags_(static_cast<std::size_t>(std::max(world_size, 1))),
-      waiting_(static_cast<std::size_t>(std::max(world_size, 1)), false) {
+      awaited_(static_cast<std::size_t>(std::max(world_size, 1)), nullptr) {
   VOCAB_CHECK(world_size >= 1, "world_size must be >= 1, got " << world_size);
 }
 
@@ -154,168 +152,214 @@ void ThreadCollective::check_rank(int rank) const {
               "rank " << rank << " out of range [0, " << world_size_ << ")");
 }
 
-template <typename LeaderFn>
-void ThreadCollective::rendezvous(int rank, const std::string& tag, const char* kind,
-                                  LeaderFn&& leader_fn) {
+void ThreadCollective::fold(InFlight& c, int world) {
+  using Kind = CollectiveRequest::Kind;
+  const auto req = [&c](int r) -> const CollectiveRequest& {
+    return c.requests[static_cast<std::size_t>(r)];
+  };
+  switch (c.kind) {
+    case Kind::kBarrier:
+      break;
+    case Kind::kAllReduce:
+    case Kind::kReduce:
+      c.result = *req(0).data;
+      for (int r = 1; r < world; ++r) reduce_into(c.result, *req(r).data, c.op);
+      break;
+    case Kind::kBroadcast:
+      c.result = *req(c.root).data;
+      break;
+    case Kind::kAllGatherRows: {
+      std::int64_t total_rows = 0;
+      const std::int64_t cols = req(0).input->dim(1);
+      for (int r = 0; r < world; ++r) {
+        const Tensor& t = *req(r).input;
+        VOCAB_CHECK(t.rank() == 2 && t.dim(1) == cols, "all_gather_rows column mismatch");
+        total_rows += t.dim(0);
+      }
+      c.result = Tensor({total_rows, cols});
+      std::int64_t row = 0;
+      for (int r = 0; r < world; ++r) {
+        const Tensor& t = *req(r).input;
+        std::copy(t.data(), t.data() + t.numel(), c.result.data() + row * cols);
+        row += t.dim(0);
+      }
+      break;
+    }
+  }
+}
+
+void ThreadCollective::post(int rank, const std::string& tag, const CollectiveRequest& request) {
   check_rank(rank);
+  if (request.kind == CollectiveRequest::Kind::kReduce ||
+      request.kind == CollectiveRequest::Kind::kBroadcast) {
+    check_rank(request.root);
+  }
+  const auto r = static_cast<std::size_t>(rank);
+  InFlight* last = nullptr;
+  {
+    std::lock_guard lock(mutex_);
+    if (!failure_.empty()) throw DeadlockError("communicator poisoned: " + failure_);
+    if (abort_ != nullptr && abort_->aborted()) {
+      // Poison first: requests already posted may point into state the
+      // aborted run is about to tear down, so nothing may fold them later.
+      failure_ = "aborted before " + std::string(to_string(request.kind)) + " '" + tag + "'";
+      cv_.notify_all();
+      throw AbortedError(abort_->reason(), std::string(to_string(request.kind)) + " '" + tag +
+                                               "' on rank " + std::to_string(rank) +
+                                               " not posted");
+    }
+    auto it = std::find_if(in_flight_.begin(), in_flight_.end(), [&](const InFlight& c) {
+      return c.tag == tag && !c.posted[r];
+    });
+    if (it == in_flight_.end()) it = in_flight_.emplace(in_flight_.end(), tag, request, world_size_);
+    InFlight& c = *it;
+    if (c.kind != request.kind || c.root != request.root || c.op != request.op) {
+      failure_ = std::string("collective mismatch: rank ") + std::to_string(rank) + " posts " +
+                 to_string(request.kind) + " '" + tag + "' where another rank posted " +
+                 to_string(c.kind) + " under that tag";
+      cv_.notify_all();
+      throw CheckError(failure_);
+    }
+    c.requests[r] = request;
+    c.posted[r] = true;
+    if (++c.arrived == world_size_) last = &c;
+  }
+  if (last == nullptr) return;
+
+  try {
+    fold(*last, world_size_);
+  } catch (const std::exception& e) {
+    std::lock_guard lock(mutex_);
+    failure_ = std::string(to_string(request.kind)) + " '" + tag + "' failed: " + e.what();
+    cv_.notify_all();
+    throw;
+  }
+  std::lock_guard lock(mutex_);
+  last->done = true;
+  ++completed_;
+  cv_.notify_all();
+}
+
+std::string ThreadCollective::stuck_waits() const {
+  for (const InFlight* c : awaited_) {
+    if (c == nullptr || c->arrived == world_size_) return "";
+  }
+  std::ostringstream os;
+  for (int r = 0; r < world_size_; ++r) {
+    const InFlight& c = *awaited_[static_cast<std::size_t>(r)];
+    os << (r > 0 ? ", " : "") << "rank " << r << " waits on " << to_string(c.kind) << " '"
+       << c.tag << "' (arrived " << c.arrived << "/" << world_size_ << ")";
+  }
+  return os.str();
+}
+
+void ThreadCollective::wait(int rank, const std::string& tag) {
+  check_rank(rank);
+  const auto r = static_cast<std::size_t>(rank);
   std::unique_lock lock(mutex_);
+  const auto it = std::find_if(in_flight_.begin(), in_flight_.end(), [&](const InFlight& c) {
+    return c.tag == tag && c.posted[r] && !c.released[r];
+  });
+  if (it == in_flight_.end()) {
+    if (!failure_.empty()) throw DeadlockError("collective aborted: " + failure_);
+    VOCAB_FAIL("rank " << rank << " waits on collective '" << tag << "' it has not posted");
+  }
+  InFlight& c = *it;
   const auto t0 = std::chrono::steady_clock::now();
   const auto deadline = t0 + timeout_;
-  waiting_[static_cast<std::size_t>(rank)] = true;
-  struct WaitingGuard {
-    std::vector<bool>& waiting;
+  awaited_[r] = &c;
+  struct AwaitGuard {
+    std::vector<InFlight*>& awaited;
     std::size_t rank;
-    ~WaitingGuard() { waiting[rank] = false; }
-  } waiting_guard{waiting_, static_cast<std::size_t>(rank)};
+    ~AwaitGuard() { awaited[rank] = nullptr; }
+  } await_guard{awaited_, r};
 
-  // Wait until `pred`, slicing the timeout so the shared abort token is
-  // observed within kAbortPollInterval even if a notify is missed.
-  auto timed_wait = [&](auto&& pred) {
-    for (;;) {
-      if (pred()) return;
-      if (abort_ != nullptr && abort_->aborted()) {
-        if (failure_.empty()) failure_ = "aborted during " + std::string(kind) + " '" + tag + "'";
-        cv_.notify_all();
-        throw AbortedError(abort_->reason(), std::string(kind) + " '" + tag + "' on rank " +
-                                                 std::to_string(rank) + " interrupted");
-      }
-      const auto now = std::chrono::steady_clock::now();
-      if (now >= deadline) {
-        const auto elapsed =
-            std::chrono::duration_cast<std::chrono::milliseconds>(now - t0).count();
-        failure_ = std::string("deadlock: rank ") + std::to_string(rank) + " timed out in " +
-                   kind + " '" + tag + "' after " + std::to_string(elapsed) + " ms (timeout " +
-                   std::to_string(timeout_.count()) + " ms; arrived " +
-                   std::to_string(arrived_) + "/" + std::to_string(world_size_) +
-                   "; transport 'threads')";
-        cv_.notify_all();
-        throw DeadlockError(failure_);
-      }
-      cv_.wait_for(lock, std::min<std::chrono::steady_clock::duration>(deadline - now,
-                                                                       kAbortPollInterval));
-    }
-  };
-
-  if (!failure_.empty()) throw DeadlockError("communicator poisoned: " + failure_);
-
-  // Wait for the previous collective to fully drain before joining.
-  timed_wait([&] { return departed_ == 0 || !failure_.empty(); });
-  if (!failure_.empty()) throw DeadlockError("communicator poisoned: " + failure_);
-
-  const std::uint64_t my_gen = generation_;
-  tags_[static_cast<std::size_t>(rank)] = tag;
-  ++arrived_;
-
-  if (arrived_ == world_size_) {
-    // Leader: validate tags, run the collective body, release everyone.
-    for (int r = 0; r < world_size_; ++r) {
-      if (tags_[static_cast<std::size_t>(r)] != tag) {
-        failure_ = std::string("collective mismatch in ") + kind + ": rank " +
-                   std::to_string(rank) + " tag '" + tag + "' vs rank " + std::to_string(r) +
-                   " tag '" + tags_[static_cast<std::size_t>(r)] + "'";
-        arrived_ = 0;
-        ++generation_;
-        cv_.notify_all();
-        throw CheckError(failure_);
-      }
-    }
-    try {
-      leader_fn();
-    } catch (const std::exception& e) {
-      failure_ = std::string(kind) + " '" + tag + "' failed: " + e.what();
-      arrived_ = 0;
-      ++generation_;
-      cv_.notify_all();
-      throw;
-    }
-    ++completed_;
-    arrived_ = 0;
-    departed_ = world_size_;
-    ++generation_;
-    cv_.notify_all();
-  } else {
-    timed_wait([&] { return generation_ != my_gen || !failure_.empty(); });
+  // Wait until the fold is done, slicing the timeout so the shared abort
+  // token is observed within kAbortPollInterval even if a notify is missed.
+  const char* kind = to_string(c.kind);
+  while (!c.done) {
     if (!failure_.empty()) throw DeadlockError("collective aborted: " + failure_);
+    if (abort_ != nullptr && abort_->aborted()) {
+      failure_ = "aborted during " + std::string(kind) + " '" + tag + "'";
+      cv_.notify_all();
+      throw AbortedError(abort_->reason(), std::string(kind) + " '" + tag + "' on rank " +
+                                               std::to_string(rank) + " interrupted");
+    }
+    if (const std::string stuck = stuck_waits(); !stuck.empty()) {
+      failure_ = "collective mismatch: " + stuck;
+      cv_.notify_all();
+      throw CheckError(failure_);
+    }
+    const auto now = std::chrono::steady_clock::now();
+    if (now >= deadline) {
+      std::ostringstream missing;
+      for (int m = 0; m < world_size_; ++m) {
+        if (!c.posted[static_cast<std::size_t>(m)]) missing << " r" << m;
+      }
+      const auto elapsed =
+          std::chrono::duration_cast<std::chrono::milliseconds>(now - t0).count();
+      failure_ = std::string("deadlock: rank ") + std::to_string(rank) + " timed out in " +
+                 kind + " '" + tag + "' after " + std::to_string(elapsed) + " ms (timeout " +
+                 std::to_string(timeout_.count()) + " ms; arrived " +
+                 std::to_string(c.arrived) + "/" + std::to_string(world_size_) +
+                 ", not posted by" + missing.str() + "; transport 'threads')";
+      cv_.notify_all();
+      throw DeadlockError(failure_);
+    }
+    cv_.wait_for(lock, std::min<std::chrono::steady_clock::duration>(deadline - now,
+                                                                     kAbortPollInterval));
   }
 
-  --departed_;
-  if (departed_ == 0) cv_.notify_all();
+  // The result is immutable once done, and `c` outlives every rank's copy
+  // (it is erased by the last rank to depart), so copy outside the lock.
+  lock.unlock();
+  const CollectiveRequest& mine = c.requests[r];
+  switch (c.kind) {
+    case CollectiveRequest::Kind::kBarrier: break;
+    case CollectiveRequest::Kind::kReduce:
+      if (rank == c.root) *mine.data = c.result;
+      break;
+    case CollectiveRequest::Kind::kBroadcast:
+      if (rank != c.root) *mine.data = c.result;
+      break;
+    case CollectiveRequest::Kind::kAllReduce:
+    case CollectiveRequest::Kind::kAllGatherRows:
+      *mine.data = c.result;
+      break;
+  }
+  lock.lock();
+  c.released[r] = true;
+  if (++c.departed == world_size_) in_flight_.erase(it);
 }
 
 void ThreadCollective::barrier(int rank, const std::string& tag) {
-  rendezvous(rank, tag, "barrier", [] {});
+  post(rank, tag, {});
+  wait(rank, tag);
 }
 
 void ThreadCollective::all_reduce(int rank, Tensor& data, ReduceOp op,
                                   const std::string& tag) {
-  check_rank(rank);
-  {
-    std::lock_guard lock(mutex_);
-    slots_[static_cast<std::size_t>(rank)].tensor = &data;
-  }
-  rendezvous(rank, tag, "all_reduce", [&] {
-    Tensor acc = *slots_[0].tensor;
-    for (int r = 1; r < world_size_; ++r) reduce_into(acc, *slots_[static_cast<std::size_t>(r)].tensor, op);
-    for (int r = 0; r < world_size_; ++r) *slots_[static_cast<std::size_t>(r)].tensor = acc;
-  });
+  post(rank, tag, {CollectiveRequest::Kind::kAllReduce, op, 0, &data, nullptr});
+  wait(rank, tag);
 }
 
 void ThreadCollective::reduce(int rank, int root, Tensor& data, ReduceOp op,
                               const std::string& tag) {
-  check_rank(rank);
-  check_rank(root);
-  {
-    std::lock_guard lock(mutex_);
-    slots_[static_cast<std::size_t>(rank)].tensor = &data;
-  }
-  rendezvous(rank, tag, "reduce", [&] {
-    Tensor acc = *slots_[0].tensor;
-    for (int r = 1; r < world_size_; ++r) reduce_into(acc, *slots_[static_cast<std::size_t>(r)].tensor, op);
-    *slots_[static_cast<std::size_t>(root)].tensor = std::move(acc);
-  });
+  post(rank, tag, {CollectiveRequest::Kind::kReduce, op, root, &data, nullptr});
+  wait(rank, tag);
 }
 
 void ThreadCollective::broadcast(int rank, int root, Tensor& data, const std::string& tag) {
-  check_rank(rank);
-  check_rank(root);
-  {
-    std::lock_guard lock(mutex_);
-    slots_[static_cast<std::size_t>(rank)].tensor = &data;
-  }
-  rendezvous(rank, tag, "broadcast", [&] {
-    const Tensor& src = *slots_[static_cast<std::size_t>(root)].tensor;
-    for (int r = 0; r < world_size_; ++r) {
-      if (r != root) *slots_[static_cast<std::size_t>(r)].tensor = src;
-    }
-  });
+  post(rank, tag, {CollectiveRequest::Kind::kBroadcast, ReduceOp::Sum, root, &data, nullptr});
+  wait(rank, tag);
 }
 
 Tensor ThreadCollective::all_gather_rows(int rank, const Tensor& data,
                                          const std::string& tag) {
-  check_rank(rank);
   Tensor out;
-  {
-    std::lock_guard lock(mutex_);
-    slots_[static_cast<std::size_t>(rank)].const_tensor = &data;
-    slots_[static_cast<std::size_t>(rank)].tensor = &out;
-  }
-  rendezvous(rank, tag, "all_gather_rows", [&] {
-    std::int64_t total_rows = 0;
-    const std::int64_t cols = slots_[0].const_tensor->dim(1);
-    for (int r = 0; r < world_size_; ++r) {
-      const Tensor& t = *slots_[static_cast<std::size_t>(r)].const_tensor;
-      VOCAB_CHECK(t.rank() == 2 && t.dim(1) == cols, "all_gather_rows column mismatch");
-      total_rows += t.dim(0);
-    }
-    Tensor gathered({total_rows, cols});
-    std::int64_t row = 0;
-    for (int r = 0; r < world_size_; ++r) {
-      const Tensor& t = *slots_[static_cast<std::size_t>(r)].const_tensor;
-      std::copy(t.data(), t.data() + t.numel(), gathered.data() + row * cols);
-      row += t.dim(0);
-    }
-    for (int r = 0; r < world_size_; ++r) *slots_[static_cast<std::size_t>(r)].tensor = gathered;
-  });
+  post(rank, tag,
+       {CollectiveRequest::Kind::kAllGatherRows, ReduceOp::Sum, 0, &out, &data});
+  wait(rank, tag);
   return out;
 }
 
@@ -328,7 +372,7 @@ std::vector<int> ThreadCollective::waiting_ranks() const {
   std::lock_guard lock(mutex_);
   std::vector<int> out;
   for (int r = 0; r < world_size_; ++r) {
-    if (waiting_[static_cast<std::size_t>(r)]) out.push_back(r);
+    if (awaited_[static_cast<std::size_t>(r)] != nullptr) out.push_back(r);
   }
   return out;
 }
@@ -336,14 +380,30 @@ std::vector<int> ThreadCollective::waiting_ranks() const {
 std::string ThreadCollective::describe() const {
   std::lock_guard lock(mutex_);
   std::ostringstream os;
-  os << "arrived " << arrived_ << "/" << world_size_ << ", departed " << departed_
-     << ", completed " << completed_ << ", waiters [";
+  os << "in flight " << in_flight_.size() << " [";
+  constexpr std::size_t kMaxListed = 16;
+  std::size_t listed = 0;
+  for (const InFlight& c : in_flight_) {
+    if (listed == kMaxListed) {
+      os << ", ... +" << in_flight_.size() - kMaxListed << " more";
+      break;
+    }
+    os << (listed++ > 0 ? ", " : "") << "'" << c.tag << "' " << to_string(c.kind);
+    if (c.done) {
+      os << " done";
+    } else {
+      os << " arrived " << c.arrived << "/" << world_size_;
+    }
+  }
+  os << "], completed " << completed_ << ", waiters [";
   bool first = true;
   for (int r = 0; r < world_size_; ++r) {
-    if (!waiting_[static_cast<std::size_t>(r)]) continue;
+    const InFlight* c = awaited_[static_cast<std::size_t>(r)];
+    if (c == nullptr) continue;
     if (!first) os << ", ";
     first = false;
-    os << "r" << r << ":'" << tags_[static_cast<std::size_t>(r)] << "'";
+    os << "r" << r << ":'" << c->tag << "' " << to_string(c->kind) << " arrived " << c->arrived
+       << "/" << world_size_;
   }
   os << "]";
   if (!failure_.empty()) os << ", failure: " << failure_;

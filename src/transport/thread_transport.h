@@ -2,17 +2,17 @@
 
 // In-process thread-rendezvous transport backend (the default).
 //
-// This is the historical comm layer verbatim — a mutex/condition-variable
-// bounded FIFO per mailbox and a rendezvous cell per collective — moved
-// below the Transport interface so comm/Channel and comm/DeviceGroup can be
-// facades over a pluggable backend. Numerics, blocking semantics, timeout
-// slicing (kAbortPollInterval) and error texts are unchanged; the only
-// addition is the transport diagnostic suffix on DeadlockError messages and
-// describe() output (satellite of the failure-model work: a hang should name
-// its backend).
+// A mutex/condition-variable bounded FIFO per mailbox, and a collective
+// communicator that keeps any number of collectives in flight, matched
+// across ranks by tag. Its post never blocks, so the schedule executor can
+// post a collective as soon as the device's own inputs exist and wait only
+// where the result is consumed. Waits slice their timeout by
+// kAbortPollInterval, and DeadlockError texts and describe() output name the
+// backend, so a hang is not mistaken for a dead process.
 
 #include <condition_variable>
 #include <deque>
+#include <list>
 #include <mutex>
 
 #include "transport/transport.h"
@@ -49,7 +49,12 @@ class ThreadMailbox final : public Mailbox {
   std::deque<Message> queue_;
 };
 
-/// Rendezvous collective communicator over `world_size` participant threads.
+/// Collective communicator over `world_size` participant threads, with any
+/// number of collectives in flight. Each rank's post deposits its request
+/// under the collective's tag and returns; the last rank to post folds every
+/// rank's contribution in rank order (rank 0's value first, then 1, 2, ...,
+/// the order the blocking backends reduce in), and each rank's wait copies
+/// the result out. A blocking call is post then wait.
 class ThreadCollective final : public Collective {
  public:
   ThreadCollective(int world_size, std::chrono::milliseconds timeout);
@@ -61,24 +66,43 @@ class ThreadCollective final : public Collective {
   void reduce(int rank, int root, Tensor& data, ReduceOp op, const std::string& tag) override;
   void broadcast(int rank, int root, Tensor& data, const std::string& tag) override;
   Tensor all_gather_rows(int rank, const Tensor& data, const std::string& tag) override;
+  void post(int rank, const std::string& tag, const CollectiveRequest& request) override;
+  void wait(int rank, const std::string& tag) override;
+  [[nodiscard]] bool nonblocking_post() const override { return true; }
   [[nodiscard]] std::uint64_t completed_collectives() const override;
   [[nodiscard]] std::vector<int> waiting_ranks() const override;
   [[nodiscard]] std::string describe() const override;
 
  private:
-  struct Slot {
-    Tensor* tensor = nullptr;
-    const Tensor* const_tensor = nullptr;
+  /// One collective in flight: the ranks' requests under one tag.
+  struct InFlight {
+    InFlight(std::string t, const CollectiveRequest& first, int world)
+        : tag(std::move(t)), kind(first.kind), op(first.op), root(first.root),
+          requests(static_cast<std::size_t>(world)),
+          posted(static_cast<std::size_t>(world), false),
+          released(static_cast<std::size_t>(world), false) {}
+
+    std::string tag;
+    CollectiveRequest::Kind kind;
+    ReduceOp op;
+    int root;
+    std::vector<CollectiveRequest> requests;  // per rank
+    std::vector<bool> posted;                 // per rank
+    std::vector<bool> released;               // per rank: its wait returned
+    int arrived = 0;
+    int departed = 0;
+    bool done = false;
+    Tensor result;  // the fold's output, copied out by each rank's wait
   };
 
-  // Runs `leader_fn` on the last-arriving rank, between the arrival phase and
-  // the departure phase. Throws DeadlockError on timeout, AbortedError when
-  // the shared token aborts, CheckError on tag or shape mismatch detected at
-  // rendezvous.
-  template <typename LeaderFn>
-  void rendezvous(int rank, const std::string& tag, const char* kind, LeaderFn&& leader_fn);
-
+  /// The last poster's fold, run outside the lock: every rank has posted and
+  /// none reads `c` again before it is marked done.
+  static void fold(InFlight& c, int world);
   void check_rank(int rank) const;
+  /// Every rank is blocked waiting on a collective that some rank has not
+  /// posted: no rank is left to post, so none of them can complete. Returns
+  /// the per-rank waits when that holds, else "". Requires the mutex held.
+  [[nodiscard]] std::string stuck_waits() const;
 
   const int world_size_;
   const std::chrono::milliseconds timeout_;
@@ -86,17 +110,10 @@ class ThreadCollective final : public Collective {
 
   mutable std::mutex mutex_;
   std::condition_variable cv_;
-  std::vector<Slot> slots_;
-  std::vector<std::string> tags_;
-  std::vector<bool> waiting_;
-  int arrived_ = 0;
-  int departed_ = 0;
-  std::uint64_t generation_ = 0;
+  std::list<InFlight> in_flight_;   // list: waits hold pointers across inserts
+  std::vector<InFlight*> awaited_;  // per rank: what its wait blocks on
   std::uint64_t completed_ = 0;
-  std::string failure_;  // non-empty once a rendezvous has failed
-
-  // Scratch owned by the group, used by leader functions.
-  Tensor gather_result_;
+  std::string failure_;  // non-empty once a collective has failed
 };
 
 /// Factory for the thread backend.

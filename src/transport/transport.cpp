@@ -29,6 +29,37 @@ const char* to_string(TransportKind kind) {
   return "?";
 }
 
+const char* to_string(CollectiveRequest::Kind kind) {
+  switch (kind) {
+    case CollectiveRequest::Kind::kBarrier: return "barrier";
+    case CollectiveRequest::Kind::kAllReduce: return "all_reduce";
+    case CollectiveRequest::Kind::kReduce: return "reduce";
+    case CollectiveRequest::Kind::kBroadcast: return "broadcast";
+    case CollectiveRequest::Kind::kAllGatherRows: return "all_gather_rows";
+  }
+  return "?";
+}
+
+void Collective::post(int rank, const std::string& tag, const CollectiveRequest& request) {
+  switch (request.kind) {
+    case CollectiveRequest::Kind::kBarrier: barrier(rank, tag); break;
+    case CollectiveRequest::Kind::kAllReduce:
+      all_reduce(rank, *request.data, request.op, tag);
+      break;
+    case CollectiveRequest::Kind::kReduce:
+      reduce(rank, request.root, *request.data, request.op, tag);
+      break;
+    case CollectiveRequest::Kind::kBroadcast:
+      broadcast(rank, request.root, *request.data, tag);
+      break;
+    case CollectiveRequest::Kind::kAllGatherRows:
+      *request.data = all_gather_rows(rank, *request.input, tag);
+      break;
+  }
+}
+
+void Collective::wait(int /*rank*/, const std::string& /*tag*/) {}
+
 TransportKind transport_kind_from_env() {
   const std::string v =
       choice_from_env("VOCAB_TRANSPORT", "threads", {"threads", "shm", "tcp"});

@@ -12,9 +12,9 @@
 // then attributable to a dead peer vs. a schedule bug.
 //
 // Backends:
-//   threads — the in-process condition-variable rendezvous the runtime has
-//             always used (default; bit-identical to the historical comm
-//             layer). transport/thread_transport.h.
+//   threads — in-process condition-variable mailboxes, and collectives
+//             whose post never blocks: any number in flight, matched by
+//             tag (default). transport/thread_transport.h.
 //   shm     — shared-memory ring buffers + rendezvous cells that work across
 //             fork(): one OS process per pipeline device, heartbeat beacons,
 //             and peer death converted into the coordinated AbortToken
@@ -136,6 +136,20 @@ class Mailbox {
   [[nodiscard]] virtual std::string describe() const = 0;
 };
 
+/// One rank's part of a posted collective. The buffers belong to the caller,
+/// who must keep them alive and leave them alone until the matching wait
+/// returns.
+struct CollectiveRequest {
+  enum class Kind { kBarrier, kAllReduce, kReduce, kBroadcast, kAllGatherRows };
+  Kind kind = Kind::kBarrier;
+  ReduceOp op = ReduceOp::Sum;
+  int root = 0;
+  Tensor* data = nullptr;         ///< in/out (reduce kinds, broadcast); out (all_gather_rows)
+  const Tensor* input = nullptr;  ///< all_gather_rows' rows
+};
+
+[[nodiscard]] const char* to_string(CollectiveRequest::Kind kind);
+
 /// Rendezvous collective communicator — the backend behind comm/DeviceGroup.
 class Collective {
  public:
@@ -149,6 +163,20 @@ class Collective {
                       const std::string& tag) = 0;
   virtual void broadcast(int rank, int root, Tensor& data, const std::string& tag) = 0;
   virtual Tensor all_gather_rows(int rank, const Tensor& data, const std::string& tag) = 0;
+
+  /// Start this rank's part of the collective named `tag`. When
+  /// nonblocking_post() is true the call returns without waiting for the
+  /// other ranks, and several collectives may be in flight at once, matched
+  /// across ranks by tag. The default runs the blocking call in place (a
+  /// backend whose rendezvous needs every rank inside the call), so the
+  /// result is already delivered when post returns.
+  virtual void post(int rank, const std::string& tag, const CollectiveRequest& request);
+  /// Block until the collective this rank posted under `tag` has completed
+  /// and its result is in the request's buffers. The default has nothing
+  /// left to wait for.
+  virtual void wait(int rank, const std::string& tag);
+  [[nodiscard]] virtual bool nonblocking_post() const { return false; }
+
   [[nodiscard]] virtual std::uint64_t completed_collectives() const = 0;
   [[nodiscard]] virtual std::vector<int> waiting_ranks() const = 0;
   [[nodiscard]] virtual std::string describe() const = 0;

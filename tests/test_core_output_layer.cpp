@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <functional>
+#include <map>
+#include <mutex>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -17,6 +21,7 @@
 #include "core/reference_output_layer.h"
 #include "core/vocab_shard.h"
 #include "tensor/tensor_ops.h"
+#include "transport/thread_transport.h"
 
 namespace vocab {
 namespace {
@@ -267,9 +272,10 @@ TEST(OutputLayerShard, Alg2HoldsFewerBigTensorsThanAlg1AfterS) {
 }
 
 TEST(OutputLayerShard, CollectiveCountsPerMicrobatch) {
-  // naive: max + (sum, ytgt) + gradx = 4 collectives in 3 barriers
-  // alg1:  (max, sum, ytgt) + gradx  = 4 collectives in 2 barriers
-  // alg2:  (max, sum, ytgt, gradx)   = 4 collectives in 1 barrier
+  // One collective per paper barrier:
+  // naive: max + gather(sum, ytgt) + gradx          = 3
+  // alg1:  gather(max, sum, ytgt) + gradx           = 2
+  // alg2:  gather(max, sum, ytgt, A, B)             = 1
   const auto shards = make_all_shards(24, 2);
   const Problem prob = make_problem(4, 8, 24, 7);
   for (const OutputAlgo algo : {OutputAlgo::Naive, OutputAlgo::Alg1, OutputAlgo::Alg2}) {
@@ -279,9 +285,232 @@ TEST(OutputLayerShard, CollectiveCountsPerMicrobatch) {
                              shard_weights(prob.w, shards[static_cast<std::size_t>(rank)]));
       layer.run_all(0, group, prob.x, prob.targets, prob.grad_scale);
     });
-    EXPECT_EQ(group.completed_collectives(), 4u) << to_string(algo);
+    EXPECT_EQ(group.completed_collectives(), static_cast<std::uint64_t>(num_barriers(algo)))
+        << to_string(algo);
   }
 }
+
+// ---------------------------------------------------------------------------
+// The statistics barrier as one gather, against the chain of all-reduces it
+// replaced: a max all-reduce, the per-rank scaled sums and their sum
+// all-reduce, the rescale, the target-logit all-reduce and, under Alg2, the
+// all-reduce of each rank's (A * c - B) * grad_scale. The chain runs on the
+// rows each real shard posted, so it sees exactly the shard's S outputs.
+// ---------------------------------------------------------------------------
+
+/// Threads collective that keeps every rank's last all_gather_rows input.
+class RecordingCollective final : public transport::Collective {
+ public:
+  explicit RecordingCollective(int world) : inner_(world, std::chrono::seconds(30)) {}
+
+  [[nodiscard]] int world_size() const override { return inner_.world_size(); }
+  void set_abort_token(std::shared_ptr<AbortToken> token) override {
+    inner_.set_abort_token(std::move(token));
+  }
+  void barrier(int rank, const std::string& tag) override { inner_.barrier(rank, tag); }
+  void all_reduce(int rank, Tensor& data, ReduceOp op, const std::string& tag) override {
+    inner_.all_reduce(rank, data, op, tag);
+  }
+  void reduce(int rank, int root, Tensor& data, ReduceOp op, const std::string& tag) override {
+    inner_.reduce(rank, root, data, op, tag);
+  }
+  void broadcast(int rank, int root, Tensor& data, const std::string& tag) override {
+    inner_.broadcast(rank, root, data, tag);
+  }
+  Tensor all_gather_rows(int rank, const Tensor& data, const std::string& tag) override {
+    record(rank, data);
+    return inner_.all_gather_rows(rank, data, tag);
+  }
+  void post(int rank, const std::string& tag, const transport::CollectiveRequest& r) override {
+    if (r.kind == transport::CollectiveRequest::Kind::kAllGatherRows) record(rank, *r.input);
+    inner_.post(rank, tag, r);
+  }
+  void wait(int rank, const std::string& tag) override { inner_.wait(rank, tag); }
+  [[nodiscard]] bool nonblocking_post() const override { return true; }
+  [[nodiscard]] std::uint64_t completed_collectives() const override {
+    return inner_.completed_collectives();
+  }
+  [[nodiscard]] std::vector<int> waiting_ranks() const override {
+    return inner_.waiting_ranks();
+  }
+  [[nodiscard]] std::string describe() const override { return inner_.describe(); }
+
+  [[nodiscard]] Tensor rows(int rank) const {
+    std::lock_guard lock(mutex_);
+    return rows_.at(rank);
+  }
+
+ private:
+  void record(int rank, const Tensor& rows) {
+    std::lock_guard lock(mutex_);
+    rows_[rank] = rows;
+  }
+
+  transport::ThreadCollective inner_;
+  mutable std::mutex mutex_;
+  std::map<int, Tensor> rows_;
+};
+
+class RecordingTransport final : public transport::Transport {
+ public:
+  [[nodiscard]] transport::TransportKind kind() const override {
+    return transport::TransportKind::kThreads;
+  }
+  [[nodiscard]] const char* name() const override { return "recording"; }
+  [[nodiscard]] std::unique_ptr<transport::Mailbox> make_mailbox(
+      std::size_t capacity, std::chrono::milliseconds timeout) override {
+    return std::make_unique<transport::ThreadMailbox>(capacity, timeout);
+  }
+  [[nodiscard]] std::unique_ptr<transport::Collective> make_collective(
+      int world_size, std::chrono::milliseconds /*timeout*/) override {
+    auto c = std::make_unique<RecordingCollective>(world_size);
+    last = c.get();
+    return c;
+  }
+  RecordingCollective* last = nullptr;
+};
+
+struct ChainedStats {
+  float loss = 0.0f;
+  Tensor rescale;  // Alg1/Alg2
+  Tensor grad_x;   // Alg2
+};
+
+/// The chained statistics barrier on one rank, from that rank's posted rows
+/// [n, 3 (+ 2h)]: local max, local sum, target-logit partial (then A, B).
+ChainedStats chained_stats(int rank, const Tensor& rows, OutputAlgo algo, std::int64_t h,
+                           float grad_scale, DeviceGroup& group) {
+  const std::int64_t n = rows.dim(0);
+  Tensor local_max({n}), local_sum({n}), target({n});
+  for (std::int64_t i = 0; i < n; ++i) {
+    local_max.at(i) = rows.at(i, 0);
+    local_sum.at(i) = rows.at(i, 1);
+    target.at(i) = rows.at(i, 2);
+  }
+  ChainedStats out;
+  Tensor global_max = local_max;
+  group.all_reduce(rank, global_max, ReduceOp::Max, "max");
+  Tensor global_sum;
+  if (algo == OutputAlgo::Naive) {
+    // Naive's sums were taken against the global max already (its barrier 0).
+    global_sum = local_sum;
+    group.all_reduce(rank, global_sum, ReduceOp::Sum, "sum");
+  } else {
+    Tensor scaled({n});
+    for (std::int64_t i = 0; i < n; ++i) {
+      scaled.at(i) = local_sum.at(i) * std::exp(local_max.at(i) - global_max.at(i));
+    }
+    global_sum = scaled;
+    group.all_reduce(rank, global_sum, ReduceOp::Sum, "sum");
+    out.rescale = Tensor({n});
+    for (std::int64_t i = 0; i < n; ++i) {
+      out.rescale.at(i) = scaled.at(i) / global_sum.at(i);
+    }
+  }
+  group.all_reduce(rank, target, ReduceOp::Sum, "ytgt");
+  double acc = 0.0;
+  for (std::int64_t i = 0; i < n; ++i) {
+    acc += std::log(static_cast<double>(global_sum.at(i))) + global_max.at(i) - target.at(i);
+  }
+  out.loss = static_cast<float>(acc / static_cast<double>(n));
+  if (algo == OutputAlgo::Alg2) {
+    Tensor a({n, h}), b({n, h});
+    for (std::int64_t i = 0; i < n; ++i) {
+      for (std::int64_t col = 0; col < h; ++col) {
+        a.at(i, col) = rows.at(i, 3 + col);
+        b.at(i, col) = rows.at(i, 3 + h + col);
+      }
+    }
+    // The per-rank expression as a pointer loop, the form (and hence the
+    // FMA contraction) the library uses.
+    out.grad_x = Tensor({n, h});
+    const float* pa = a.data();
+    const float* pb = b.data();
+    const float* pr = out.rescale.data();
+    float* pgx = out.grad_x.data();
+    for (std::int64_t i = 0; i < n; ++i) {
+      const float c = pr[i];
+      for (std::int64_t col = 0; col < h; ++col) {
+        pgx[i * h + col] = (pa[i * h + col] * c - pb[i * h + col]) * grad_scale;
+      }
+    }
+    group.all_reduce(rank, out.grad_x, ReduceOp::Sum, "gradx");
+  }
+  return out;
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data(), b.data(), static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+using GatherCase = std::tuple<OutputAlgo, int, std::int64_t, bool>;
+
+class StatsBarrierGather : public testing::TestWithParam<GatherCase> {};
+
+TEST_P(StatsBarrierGather, BitIdenticalToChainedAllReduces) {
+  const auto [algo, world, v, bf16] = GetParam();
+  const std::int64_t n = 12, h = 16;
+  const Problem prob = make_problem(n, h, v, /*seed=*/4321 + static_cast<std::uint64_t>(v));
+  const auto shards = make_all_shards(v, world);
+  RecordingTransport recording;
+  DeviceGroup group(world, std::chrono::seconds(30), &recording);
+  const int stats_barrier = algo == OutputAlgo::Naive ? 1 : 0;
+
+  std::vector<float> losses(static_cast<std::size_t>(world));
+  std::vector<Tensor> rescales(static_cast<std::size_t>(world));
+  std::vector<Tensor> grad_xs(static_cast<std::size_t>(world));
+  run_ranks(world, [&](int rank) {
+    const auto r = static_cast<std::size_t>(rank);
+    OutputLayerShard layer(algo, shards[r], shard_weights(prob.w, shards[r]));
+    if (bf16) layer.enable_bf16();
+    layer.start_microbatch(0, prob.x, prob.targets, prob.grad_scale);
+    for (int ph = 0; ph <= stats_barrier; ++ph) {
+      layer.compute_phase(0, ph);
+      layer.comm_barrier(0, ph, group);
+    }
+    losses[r] = layer.loss(0);
+    if (algo != OutputAlgo::Naive) rescales[r] = layer.rescale(0);
+    if (algo == OutputAlgo::Alg2) grad_xs[r] = layer.grad_x(0);
+  });
+
+  DeviceGroup chain_group(world);
+  std::vector<ChainedStats> chained(static_cast<std::size_t>(world));
+  run_ranks(world, [&](int rank) {
+    chained[static_cast<std::size_t>(rank)] = chained_stats(
+        rank, recording.last->rows(rank), algo, h, prob.grad_scale, chain_group);
+  });
+
+  for (std::size_t r = 0; r < static_cast<std::size_t>(world); ++r) {
+    EXPECT_EQ(std::memcmp(&losses[r], &chained[r].loss, sizeof(float)), 0)
+        << "rank " << r << ": " << losses[r] << " vs " << chained[r].loss;
+    if (algo != OutputAlgo::Naive) {
+      EXPECT_TRUE(same_bits(rescales[r], chained[r].rescale)) << "rescale, rank " << r;
+    }
+    if (algo == OutputAlgo::Alg2) {
+      EXPECT_TRUE(same_bits(grad_xs[r], chained[r].grad_x)) << "grad_x, rank " << r;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AlgorithmsWidthsPaddingPrecision, StatsBarrierGather,
+    testing::Combine(testing::Values(OutputAlgo::Naive, OutputAlgo::Alg1, OutputAlgo::Alg2),
+                     testing::Values(2, 3, 4),
+                     // 61: the last shard is padded at every width; 10 at p=4
+                     // pads to 16 and leaves the last shard fully padded.
+                     testing::Values(std::int64_t{61}, std::int64_t{10}),
+                     testing::Bool()),
+    [](const testing::TestParamInfo<GatherCase>& info) {
+      std::string name = std::string(to_string(std::get<0>(info.param))) + "_p" +
+                         std::to_string(std::get<1>(info.param)) + "_V" +
+                         std::to_string(std::get<2>(info.param)) +
+                         (std::get<3>(info.param) ? "_bf16" : "_fp32");
+      for (auto& ch : name) {
+        if (ch == '-') ch = '_';
+      }
+      return name;
+    });
 
 TEST(VocabShardMath, PaddingAndOwnership) {
   EXPECT_EQ(pad_vocab(256008, 24), 256032);  // the paper's §6.1 example

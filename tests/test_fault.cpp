@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <memory>
@@ -17,6 +18,7 @@
 #include "comm/channel.h"
 #include "comm/device_group.h"
 #include "common/error.h"
+#include "cost/cost_model.h"
 #include "fault/abort_token.h"
 #include "fault/fault_injector.h"
 #include "fault/watchdog.h"
@@ -24,6 +26,8 @@
 #include "runtime/checkpoint.h"
 #include "runtime/pipeline_trainer.h"
 #include "runtime/resilient_trainer.h"
+#include "runtime/schedule_executor.h"
+#include "schedule/schedule_1f1b_vocab.h"
 #include "tensor/tensor_ops.h"
 
 namespace vocab {
@@ -449,6 +453,55 @@ TEST(ExecutorAbort, WatchdogDetectsKilledThread) {
   const std::string report = trainer.abort_token()->reason().what;
   EXPECT_NE(report.find("stall deadline"), std::string::npos) << report;
   EXPECT_NE(report.find("mailbox"), std::string::npos) << report;
+}
+
+// A device that dies before posting a collective strands its peers in the
+// wait for it: the stall report must name that collective (its op on the
+// waiting devices' lines, its tag and arrived count in the comm section),
+// not only the consumer the survivors were about to run.
+TEST(ExecutorAbort, KilledBeforePostingC1TheReportNamesTheCollective) {
+  const GptConfig cfg = fault_config();
+  constexpr int kP = 4, kM = 8;
+  PipelineTrainer trainer(GptWeights::init(cfg, 33), kP, OutputAlgo::Alg2,
+                          PipelineFlavor::OneFOneBVocab);
+  trainer.enable_watchdog(fast_watchdog());
+
+  // The trainer's schedule, rebuilt here to find device 1's S0: killed just
+  // before it, device 1 never posts C1.0.
+  ModelConfig mc;
+  mc.name = "gpt";
+  mc.num_layers = cfg.num_layers;
+  mc.attention_heads = cfg.heads;
+  mc.hidden = cfg.hidden;
+  mc.seq_len = cfg.seq_len;
+  mc.vocab = cfg.vocab;
+  mc.microbatch = 1;
+  mc.num_microbatches = kM;
+  const ScheduleExecutor plan(
+      build_1f1b_vocab(CostModel(mc, HardwareModel{}), kP, OutputAlgo::Alg2));
+  const std::vector<int>& seq = plan.device_sequence(1);
+  const auto s0 = std::find_if(seq.begin(), seq.end(),
+                               [&](int id) { return plan.schedule().op(id).label == "S0"; });
+  ASSERT_NE(s0, seq.end());
+
+  FaultSpec spec;
+  spec.kind = FaultKind::KillThread;
+  spec.iteration = 0;
+  spec.device = 1;
+  spec.op_index = static_cast<int>(s0 - seq.begin());
+  auto injector = std::make_shared<FaultInjector>(FaultPlan::single(spec));
+  trainer.set_fault_injector(injector);
+  injector->begin_iteration(0);
+
+  SyntheticCorpus corpus(cfg.vocab, cfg.seq_len, 34);
+  EXPECT_THROW(trainer.train_iteration(microbatches(corpus, 0, kM), 0.1f), ThreadKilledFault);
+  ASSERT_TRUE(trainer.abort_token()->aborted());
+  const std::string report = trainer.abort_token()->reason().what;
+  EXPECT_NE(report.find("stall deadline"), std::string::npos) << report;
+  EXPECT_NE(report.find("op 'C1.0'"), std::string::npos) << report;
+  EXPECT_NE(report.find("'out:mb0:b0:stats' all_gather_rows arrived 3/4"), std::string::npos)
+      << report;
+  EXPECT_TRUE(trainer.device_group()->waiting_ranks().empty());
 }
 
 // ---------------------------------------------------------------------------

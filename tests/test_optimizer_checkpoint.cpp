@@ -7,7 +7,9 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <string>
+#include <vector>
 #include <unistd.h>
 
 #include "common/error.h"
@@ -68,6 +70,42 @@ TEST(Optimizer, AdamMatchesHandComputedSecondStep) {
     x -= 0.1f * mh / (std::sqrt(vh) + 1e-8f);
   }
   EXPECT_NEAR(p.at(0), x, 1e-6f);
+}
+
+// The Adam update runs vectorized and chunked over parallel_for; neither may
+// change a bit. Odd lengths leave a remainder after every vector width, and
+// a length past one chunk exercises the chunking.
+TEST(Optimizer, AdamStepsBitEqualToThePlainLoop) {
+  Rng rng(123);
+  const OptimizerConfig cfg = OptimizerConfig::adam(3e-3f);
+  constexpr int kSteps = 25;
+  for (const std::int64_t n : {std::int64_t{1}, std::int64_t{7}, std::int64_t{1021},
+                               std::int64_t{40013}}) {
+    Tensor param = Tensor::randn({n}, rng, 0.5f);
+    std::vector<Tensor> grads;
+    for (int s = 0; s < kSteps; ++s) grads.push_back(Tensor::randn({n}, rng, 1e-2f));
+
+    std::vector<float> p(param.data(), param.data() + n), m(static_cast<std::size_t>(n), 0.0f),
+        v(static_cast<std::size_t>(n), 0.0f);
+    ParamOptimizer opt;
+    for (int s = 0; s < kSteps; ++s) {
+      opt.step(param, grads[static_cast<std::size_t>(s)], cfg);
+      const float b1 = cfg.beta1, b2 = cfg.beta2;
+      const float corr1 = 1.0f - std::pow(b1, static_cast<float>(s + 1));
+      const float corr2 = 1.0f - std::pow(b2, static_cast<float>(s + 1));
+      const float* g = grads[static_cast<std::size_t>(s)].data();
+      for (std::int64_t i = 0; i < n; ++i) {
+        const auto k = static_cast<std::size_t>(i);
+        m[k] = b1 * m[k] + (1.0f - b1) * g[i];
+        v[k] = b2 * v[k] + (1.0f - b2) * g[i] * g[i];
+        const float mhat = m[k] / corr1;
+        const float vhat = v[k] / corr2;
+        p[k] -= cfg.lr * mhat / (std::sqrt(vhat) + cfg.eps);
+      }
+    }
+    EXPECT_EQ(std::memcmp(param.data(), p.data(), static_cast<std::size_t>(n) * sizeof(float)), 0)
+        << "n=" << n;
+  }
 }
 
 TEST(Optimizer, ShapeMismatchThrows) {

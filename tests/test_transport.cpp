@@ -406,6 +406,58 @@ TEST(ShmBackend, TrainerBitIdenticalToThreads) {
   expect_bitwise_equal(threads_weights, shm_weights);
 }
 
+// Where collectives overlap compute: at p=4 the threads backend posts each
+// collective as soon as the device's own inputs exist and waits where the
+// result is consumed, while shm (and tcp, below) still rendezvous at the
+// collective's place in the certified sequence. Losses and exported weights
+// must be bitwise equal all the same, for the flavors whose barriers overlap
+// the most: 1F1B-vocab with Alg2, GPipe with Alg2 (what `auto` runs) and
+// V-Half.
+struct OverlapCase {
+  PipelineFlavor flavor;
+  OutputAlgo algo;
+};
+
+constexpr OverlapCase kOverlapCases[] = {
+    {PipelineFlavor::OneFOneBVocab, OutputAlgo::Alg2},
+    {PipelineFlavor::Gpipe, OutputAlgo::Alg2},
+    {PipelineFlavor::VHalf, OutputAlgo::Alg1},
+};
+
+void expect_p4_trainers_bit_identical(transport::Transport& other, std::uint64_t seed) {
+  EnvGuard guard("VOCAB_TRANSPORT", nullptr);
+  const GptConfig cfg = transport_config();
+  const SyntheticCorpus corpus(cfg.vocab, cfg.seq_len, seed + 1);
+  const OptimizerConfig opt = OptimizerConfig::adam(1e-3f);
+  constexpr int kIters = 2;
+  for (const OverlapCase& c : kOverlapCases) {
+    auto run = [&](transport::Transport* backend) {
+      PipelineTrainer trainer(GptWeights::init(cfg, seed), /*p=*/4, c.algo, c.flavor, backend);
+      std::vector<float> losses;
+      for (int it = 0; it < kIters; ++it) {
+        losses.push_back(trainer.train_iteration(microbatches(corpus, it, 8), opt));
+      }
+      return std::make_pair(losses, trainer.export_weights());
+    };
+    transport::ThreadTransport threads;
+    const auto [threads_losses, threads_weights] = run(&threads);
+    const auto [other_losses, other_weights] = run(&other);
+    ASSERT_EQ(threads_losses.size(), other_losses.size());
+    for (int it = 0; it < kIters; ++it) {
+      EXPECT_EQ(threads_losses[static_cast<std::size_t>(it)],
+                other_losses[static_cast<std::size_t>(it)])
+          << to_string(c.flavor) << " " << to_string(c.algo) << " iteration " << it;
+    }
+    expect_bitwise_equal(threads_weights, other_weights);
+  }
+}
+
+TEST(ShmBackend, TrainerBitIdenticalToThreadsAtP4WhereThreadsOverlap) {
+  if (!transport::shm_transport_supported()) GTEST_SKIP() << "no shared mappings";
+  transport::ShmTransport shm = transport::ShmTransport::in_process();
+  expect_p4_trainers_bit_identical(shm, 310);
+}
+
 // ---------------------------------------------------------------------------
 // Transport-level fault kinds (injector plumbing; in-process).
 // ---------------------------------------------------------------------------
@@ -1148,6 +1200,13 @@ TEST(TcpBackend, TrainerBitIdenticalToThreadsAllFlavors) {
     }
     expect_bitwise_equal(threads_weights, tcp_weights);
   }
+}
+
+// The p=4 overlap cases against tcp, which rendezvous in place.
+TEST(TcpBackend, TrainerBitIdenticalToThreadsAtP4WhereThreadsOverlap) {
+  if (!transport::tcp_transport_supported()) GTEST_SKIP() << "no loopback sockets";
+  transport::TcpTransport tcp = transport::TcpTransport::in_process();
+  expect_p4_trainers_bit_identical(tcp, 360);
 }
 
 // ---------------------------------------------------------------------------
