@@ -196,6 +196,42 @@ void BM_MatmulNT_Attention(benchmark::State& state) {
   bench_product(state, q, k, matmul_nt, 2 * kTokens * kTokens * kHeadDim,
                 dims(kTokens, kHeadDim) + "x" + dims(kTokens, kHeadDim) + "^T");
 }
+// The folded baseline's whole-vocabulary products (V = 8192) on its last
+// stage, run as a pipeline device thread runs them: serially, under
+// ScopedPool(nullptr), where the kernel takes every row in one call.
+constexpr std::int64_t kFullVocab = 8192;
+
+void BM_Matmul_FullVocabGradX(benchmark::State& state) {
+  parallel::ScopedPool serial(nullptr);
+  Rng rng(15);
+  const Tensor d = Tensor::randn({kTokens, kFullVocab}, rng);
+  const Tensor w = Tensor::randn({kFullVocab, kHidden}, rng, 0.2f);
+  bench_product(state, d, w, matmul, 2 * kTokens * kFullVocab * kHidden,
+                dims(kTokens, kFullVocab) + "x" + dims(kFullVocab, kHidden) + " serial");
+}
+void BM_MatmulNT_FullVocabLogits(benchmark::State& state) {
+  parallel::ScopedPool serial(nullptr);
+  Rng rng(16);
+  const Tensor x = Tensor::randn({kTokens, kHidden}, rng);
+  const Tensor w = Tensor::randn({kFullVocab, kHidden}, rng, 0.2f);
+  bench_product(state, x, w, matmul_nt, 2 * kTokens * kFullVocab * kHidden,
+                dims(kTokens, kHidden) + "x" + dims(kFullVocab, kHidden) + "^T serial");
+}
+// The MLP's input gradient at h = 64 (tiny-v211), serial as a device thread
+// runs it: A is [32, 256], 32 KiB, the largest A for which matmul_nt takes
+// every row in one call (DESIGN.md §8).
+void BM_MatmulNT_MlpUpGradXH64(benchmark::State& state) {
+  parallel::ScopedPool serial(nullptr);
+  constexpr std::int64_t kH = kHidden / 2;
+  Rng rng(17);
+  const Tensor g = Tensor::randn({kTokens, 4 * kH}, rng);
+  const Tensor w = Tensor::randn({kH, 4 * kH}, rng, 0.2f);
+  bench_product(state, g, w, matmul_nt, 2 * kTokens * kH * 4 * kH,
+                dims(kTokens, 4 * kH) + "x" + dims(kH, 4 * kH) + "^T serial");
+}
+BENCHMARK(BM_Matmul_FullVocabGradX)->UseRealTime();
+BENCHMARK(BM_MatmulNT_FullVocabLogits)->UseRealTime();
+BENCHMARK(BM_MatmulNT_MlpUpGradXH64)->UseRealTime();
 BENCHMARK(BM_Matmul_OutputGradX)->UseRealTime();
 BENCHMARK(BM_MatmulTN_OutputGradW)->UseRealTime();
 BENCHMARK(BM_Matmul_MlpUp)->UseRealTime();

@@ -65,6 +65,10 @@ class Channel {
   /// can interleave on the same channel in any order.
   Tensor recv_tag(const std::string& tag);
 
+  /// Whether recv_tag(tag) would return at once. Never blocks; backends
+  /// without a non-blocking probe (shm, tcp) always report true.
+  [[nodiscard]] bool has_tag(const std::string& tag) const { return impl_->has_tag(tag); }
+
   /// Drop every queued message (recovery: drain stale in-flight traffic).
   void clear();
 

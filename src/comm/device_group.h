@@ -87,6 +87,9 @@ class DeviceGroup {
   void post_broadcast(int rank, int root, Tensor& data, const std::string& tag);
   void post_all_gather_rows(int rank, const Tensor& data, Tensor& out, const std::string& tag);
   void wait(int rank, const std::string& tag);
+  /// Whether wait(rank, tag) would return at once: the posted collective has
+  /// completed. Never blocks; always true where the post itself blocks.
+  [[nodiscard]] bool test(int rank, const std::string& tag) { return impl_->test(rank, tag); }
   /// True when posts return without waiting for the other ranks (threads).
   [[nodiscard]] bool nonblocking_post() const { return impl_->nonblocking_post(); }
 

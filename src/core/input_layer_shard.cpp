@@ -95,6 +95,10 @@ void InputLayerShard::wait_forward_allreduce(int mb, DeviceGroup& group) {
   group.wait(shard_.rank, tag(mb, "fwd"));
 }
 
+bool InputLayerShard::forward_allreduce_ready(int mb, DeviceGroup& group) const {
+  return group.test(shard_.rank, tag(mb, "fwd"));
+}
+
 Tensor InputLayerShard::forward(int mb, std::vector<std::int64_t> tokens, DeviceGroup& group) {
   Tensor out = forward_local(mb, std::move(tokens));
   forward_allreduce(mb, out, group);

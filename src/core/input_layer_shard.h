@@ -61,6 +61,8 @@ class InputLayerShard {
   /// it before the first use of `partial`, which must stay untouched between.
   void post_forward_allreduce(int mb, Tensor& partial, DeviceGroup& group);
   void wait_forward_allreduce(int mb, DeviceGroup& group);
+  /// Whether wait_forward_allreduce would return at once. Never blocks.
+  [[nodiscard]] bool forward_allreduce_ready(int mb, DeviceGroup& group) const;
 
   /// Convenience: forward_local + forward_allreduce.
   Tensor forward(int mb, std::vector<std::int64_t> tokens, DeviceGroup& group);

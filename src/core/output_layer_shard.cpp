@@ -257,6 +257,10 @@ void OutputLayerShard::complete_barrier(int mb, int barrier, DeviceGroup& group)
   ++s.barriers_done;
 }
 
+bool OutputLayerShard::barrier_ready(int mb, int barrier, DeviceGroup& group) const {
+  return group.test(shard_.rank, barrier_tag(mb, barrier));
+}
+
 // ---- shared helpers --------------------------------------------------------
 
 void OutputLayerShard::compute_logits_masked(MbState& s) {

@@ -126,6 +126,10 @@ class OutputLayerShard {
   /// into the microbatch's state (loss, rescale, grad_x).
   void complete_barrier(int mb, int barrier, DeviceGroup& group);
 
+  /// Whether the posted barrier's collective has completed, so
+  /// complete_barrier would not block. Never blocks.
+  [[nodiscard]] bool barrier_ready(int mb, int barrier, DeviceGroup& group) const;
+
   /// Mean cross-entropy loss; identical on all ranks. Valid once the barrier
   /// that all-reduces the softmax statistics has run (barrier 1 for Naive,
   /// barrier 0 for Alg1/Alg2).

@@ -124,22 +124,29 @@ FaultInjector::FaultInjector(FaultPlan plan)
 void FaultInjector::begin_iteration(std::uint64_t iteration) {
   std::lock_guard lock(mutex_);
   iteration_ = iteration;
-  std::fill(op_counters_.begin(), op_counters_.end(), 0);
   // Disarm any corruption left over from an aborted attempt: the spec is
   // one-shot, so the recovery retry must run clean.
   for (PendingCorruption& p : pending_) p.armed = false;
   for (PendingComm& p : pending_comm_) p = PendingComm{};
 }
 
-void FaultInjector::on_op(int device, int op_id, const std::string& label,
-                          const AbortToken* token) {
+bool FaultInjector::names_op(int device, int op_index) const {
+  std::lock_guard lock(mutex_);
+  for (std::size_t i = 0; i < plan_.faults.size(); ++i) {
+    const FaultSpec& spec = plan_.faults[i];
+    if (!fired_[i] && spec.iteration == iteration_ && spec.device == device &&
+        spec.op_index == op_index) {
+      return true;
+    }
+  }
+  return false;
+}
+
+void FaultInjector::on_op_at(int device, int index, int op_id, const std::string& label,
+                             const AbortToken* token) {
   const FaultSpec* hit = nullptr;
   {
     std::lock_guard lock(mutex_);
-    if (device >= static_cast<int>(op_counters_.size())) {
-      op_counters_.resize(static_cast<std::size_t>(device) + 1, 0);
-    }
-    const int index = op_counters_[static_cast<std::size_t>(device)]++;
     for (std::size_t i = 0; i < plan_.faults.size(); ++i) {
       const FaultSpec& spec = plan_.faults[i];
       if (fired_[i] || spec.iteration != iteration_ || spec.device != device ||

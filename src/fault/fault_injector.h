@@ -3,9 +3,12 @@
 // Deterministic fault injection for the pipeline executor.
 //
 // A FaultPlan is a list of FaultSpecs addressed by (iteration, device,
-// op_index) — "the k-th op device d dispatches in iteration i". The
-// ScheduleExecutor calls FaultInjector::on_op before dispatching every op;
-// when a spec matches, the injector acts out the failure mode:
+// op_index) — "the op at position k of device d's certified sequence in
+// iteration i", which is the k-th op the device dispatches when every op
+// runs at its place. The ScheduleExecutor calls FaultInjector::on_op_at
+// before dispatching every op, with that position, so a plan names the same
+// op when a vocabulary pass runs early; when a spec matches, the injector
+// acts out the failure mode:
 //
 //   ThrowInOp   — throw InjectedFault (a clean op-level exception): exercises
 //                 the coordinated-abort path.
@@ -16,7 +19,7 @@
 //   KillThread  — throw ThreadKilledFault, which the executor treats as the
 //                 thread dying silently (no abort is raised): only the
 //                 watchdog can notice the resulting stall.
-//   InjectNaN / InjectInf / BitFlip — *data* faults: on_op arms a pending
+//   InjectNaN / InjectInf / BitFlip — *data* faults: on_op_at arms a pending
 //                 corruption for the device instead of throwing; the op
 //                 runner applies it to the next tensor it hands to
 //                 corrupt_pending() (element index chosen by the spec,
@@ -66,7 +69,7 @@ enum class FaultKind {
   DropMessage,        ///< arm: the device's next cross-device send is discarded
   DelayMessage,       ///< arm: the device's next cross-device send sleeps `delay` first
   SuppressHeartbeat,  ///< mute the device's heartbeat beacon for `delay` (peer sees loss)
-  // Network-chaos kinds (tcp backend, PR 10). on_op arms a one-shot event
+  // Network-chaos kinds (tcp backend). on_op_at arms a one-shot event
   // that the tcp supervisor consumes via take_net_fault; `element` selects
   // the target peer rank (mod world) and `delay` parameterizes StallSocket:
   DropConnection,     ///< close the link to the peer once — transient drop, reconnects
@@ -76,12 +79,12 @@ enum class FaultKind {
   StallSocket,        ///< freeze all I/O with the peer for `delay` (half-open window)
 };
 
-/// True for the silent data-corruption kinds (armed by on_op, applied by
+/// True for the silent data-corruption kinds (armed by on_op_at, applied by
 /// corrupt_pending) as opposed to the process-level kinds (acted out
-/// directly inside on_op).
+/// directly inside on_op_at).
 [[nodiscard]] bool is_data_fault(FaultKind kind);
 
-/// True for the network-chaos kinds (armed by on_op, consumed by the tcp
+/// True for the network-chaos kinds (armed by on_op_at, consumed by the tcp
 /// supervisor via take_net_fault).
 [[nodiscard]] bool is_net_fault(FaultKind kind);
 
@@ -105,7 +108,7 @@ struct FaultSpec {
   FaultKind kind = FaultKind::ThrowInOp;
   std::uint64_t iteration = 0;  ///< global training iteration to fire on
   int device = 0;               ///< device thread to hit
-  int op_index = 0;             ///< k-th op that device dispatches that iteration
+  int op_index = 0;             ///< position in the device's certified sequence
   std::chrono::milliseconds delay{0};  ///< DelayOp / StallDevice duration
   std::uint64_t element = 0;    ///< data faults: flat index (mod numel) to corrupt
   std::string note;             ///< free-form tag echoed into the error message
@@ -131,22 +134,30 @@ struct FaultPlan {
 };
 
 /// Thread-safe matcher + actor for one FaultPlan. Shared by the training
-/// loop (begin_iteration) and the executor's device threads (on_op).
+/// loop (begin_iteration) and the executor's device threads (on_op_at).
 class FaultInjector {
  public:
   explicit FaultInjector(FaultPlan plan);
 
-  /// Announce the global iteration about to run and reset the per-device op
-  /// counters. Call once per training-loop iteration *attempt*; a recovery
-  /// retry of iteration i calls begin_iteration(i) again (one-shot firing
-  /// keeps the retry clean).
+  /// Announce the global iteration about to run and disarm corruptions and
+  /// message faults left pending by an aborted attempt. Call once per
+  /// training-loop iteration *attempt*; a recovery retry of iteration i
+  /// calls begin_iteration(i) again (one-shot firing keeps the retry clean).
   void begin_iteration(std::uint64_t iteration);
 
-  /// Executor hook: called on the device thread before dispatching each op.
+  /// Executor hook: called on the device thread before dispatching each op,
+  /// with `op_index` the op's position in the device's certified sequence.
   /// May throw InjectedFault / ThreadKilledFault / AbortedError, or sleep.
   /// Data-fault specs arm a pending corruption instead of throwing.
   /// `token` (nullable) lets injected sleeps wake early on abort.
-  void on_op(int device, int op_id, const std::string& label, const AbortToken* token);
+  void on_op_at(int device, int op_index, int op_id, const std::string& label,
+                const AbortToken* token);
+
+  /// Whether a spec not yet fired addresses the op at `op_index` of
+  /// `device`'s sequence in the current iteration. The executor runs no op
+  /// ahead of such an op, so the fault strikes at the same point relative
+  /// to the other devices' ops as in a strictly ordered run.
+  [[nodiscard]] bool names_op(int device, int op_index) const;
 
   /// Trainer send hook: consume an armed DropMessage for `device`. Returns
   /// true when the caller should discard the payload instead of sending it —
@@ -167,7 +178,7 @@ class FaultInjector {
 
   /// Supervisor hook: pop the oldest armed network fault for `device`
   /// (armed by a DropConnection/PartitionPeer/DuplicateFrame/TruncateFrame/
-  /// StallSocket spec firing in on_op). Returns false when none is armed.
+  /// StallSocket spec firing in on_op_at). Returns false when none is armed.
   [[nodiscard]] bool take_net_fault(int device, NetFault* out);
 
   /// Transport beacon hook: true while `device`'s heartbeat is suppressed
@@ -208,7 +219,6 @@ class FaultInjector {
   FaultPlan plan_;
   mutable std::mutex mutex_;
   std::vector<bool> fired_;
-  std::vector<int> op_counters_;  // per device, within the current iteration
   std::vector<PendingCorruption> pending_;  // per device
   std::vector<PendingComm> pending_comm_;   // per device
   // Armed net-chaos events, per device, FIFO. Unlike pending_comm_ these

@@ -223,6 +223,19 @@ void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
   }
 }
 
+void parallel_for_rows(std::int64_t begin, std::int64_t end, std::int64_t grain,
+                       const std::function<void(std::int64_t, std::int64_t)>& body) {
+  const std::int64_t n = end - begin;
+  if (n <= 0) return;
+  const auto [chunk, chunks] = partition(n, grain);
+  const auto run_chunk = [&](std::int64_t c) {
+    const std::int64_t b = begin + c * chunk;
+    body(b, std::min(b + chunk, end));
+  };
+  ThreadPool* pool = t_pool_override ? t_scoped_pool : &ThreadPool::instance();
+  if (chunks == 1 || pool == nullptr || !pool->try_run(chunks, run_chunk)) body(begin, end);
+}
+
 void parallel_for_chunked(
     std::int64_t begin, std::int64_t end, std::int64_t grain,
     const std::function<void(std::int64_t, std::int64_t, std::int64_t)>& body) {

@@ -115,6 +115,15 @@ class ScopedPool {
 void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
                   const std::function<void(std::int64_t, std::int64_t)>& body);
 
+/// parallel_for for bodies whose bytes do not depend on how the range is
+/// split (each row computed on its own, as in the matmul kernels). When the
+/// chunks would run serially — under ScopedPool(nullptr), on a pool worker,
+/// or while the pool is busy — the body runs once over the whole range
+/// instead of once per chunk, so a kernel that streams an operand once per
+/// call streams it once.
+void parallel_for_rows(std::int64_t begin, std::int64_t end, std::int64_t grain,
+                       const std::function<void(std::int64_t, std::int64_t)>& body);
+
 /// Like parallel_for, but the body also receives the chunk index
 /// (0-based, in partition order). Reduction kernels use it to write one
 /// partial result per chunk and combine the partials in ascending chunk

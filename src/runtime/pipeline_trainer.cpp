@@ -715,6 +715,46 @@ struct PipelineTrainer::ScheduledIteration final : OpRunner {
     }
   }
 
+  /// Whether `op` would start without blocking on another device: a posted
+  /// collective has completed, or a transformer op's activation or gradient
+  /// is at hand. The vocabulary passes take their inputs from same-device
+  /// collectives, which the executor tracks.
+  bool ready(const Op& op) override {
+    const int d = op.device;
+    const int mb = op.microbatch;
+    DeviceState& ds = state[static_cast<std::size_t>(d)];
+    Device& dev = *tr.devices_[static_cast<std::size_t>(d)];
+    DeviceGroup& group = *tr.group_;
+    switch (op.kind) {
+      case OpKind::Collective:
+        switch (collective_kind(op.label)) {
+          case CollectiveKind::kInputAllReduce:
+            return dev.input->forward_allreduce_ready(mb, group);
+          case CollectiveKind::kBroadcastX: return group.test(d, "C0:mb" + std::to_string(mb));
+          case CollectiveKind::kC1: return dev.output->barrier_ready(mb, 0, group);
+          case CollectiveKind::kC2: return dev.output->barrier_ready(mb, 1, group);
+          case CollectiveKind::kBroadcastGrad:
+            return group.test(d, "jBC:mb" + std::to_string(mb));
+          case CollectiveKind::kClip: return group.test(d, "clipAR");
+        }
+        return false;
+      case OpKind::Forward: {
+        const int s = stage_of(op);
+        return s == 0 || ds.act.contains({s, mb}) ||
+               tr.mail_[static_cast<std::size_t>(d)]->has_tag(act_tag(s, mb));
+      }
+      case OpKind::BackwardFull:
+      case OpKind::BackwardInput: {
+        const int s = stage_of(op);
+        if (s == last_stage() && tr.vocab_sharded()) return true;  // grad_x from C1 or C2
+        return ds.grad.contains({s, mb}) ||
+               tr.mail_[static_cast<std::size_t>(d)]->has_tag(grad_tag(s, mb));
+      }
+      default:
+        return true;
+    }
+  }
+
   /// Wait for a posted collective and hand its result to this device.
   void complete_collective(const Op& op) override {
     const int d = op.device;

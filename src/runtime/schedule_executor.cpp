@@ -21,6 +21,17 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
+// One bit per vocabulary pass kind (S, T, i, j), 0 for every other kind.
+unsigned pass_bit(OpKind kind) {
+  switch (kind) {
+    case OpKind::OutputS: return 1U;
+    case OpKind::OutputT: return 2U;
+    case OpKind::InputFwd: return 4U;
+    case OpKind::InputBwd: return 8U;
+    default: return 0U;
+  }
+}
+
 }  // namespace
 
 double ExecutorStats::idle_fraction(int device) const {
@@ -41,28 +52,38 @@ ScheduleExecutor::ScheduleExecutor(PipelineSchedule schedule, int total_threads)
   program::verify_program_or_throw(program_, &schedule_);
   sequences_ = program::device_sequences(program_);
 
-  // Overlap plan: post each collective at the first boundary after its
-  // same-device dependencies. One pass over the ops and their edges.
+  // Overlap plans: one pass over the ops and their edges.
   position_.assign(schedule_.ops.size(), -1);
   for (const std::vector<int>& seq : sequences_) {
     for (std::size_t i = 0; i < seq.size(); ++i) {
       position_[static_cast<std::size_t>(seq[i])] = static_cast<int>(i);
     }
   }
-  posts_at_.resize(sequences_.size());
+  plans_.resize(sequences_.size());
   for (std::size_t d = 0; d < sequences_.size(); ++d) {
     const std::vector<int>& seq = sequences_[d];
-    posts_at_[d].resize(seq.size() + 1);
-    for (const int id : seq) {
-      const Op& op = schedule_.op(id);
-      if (op.kind != OpKind::Collective) continue;
-      int boundary = 0;
+    const std::size_t n = seq.size();
+    LanePlan& plan = plans_[d];
+    plan.post_waits.assign(n, -1);
+    plan.unblocks.resize(n);
+    plan.consumed.assign(n, 0);
+    for (std::size_t q = 0; q < n; ++q) {
+      const Op& op = schedule_.op(seq[q]);
+      // A collective tied to no microbatch (the clip all-reduce) reads
+      // state every earlier op may touch, and its dependencies only anchor
+      // the lane ends: it posts at its place.
+      const bool posts_early = op.kind == OpKind::Collective && op.microbatch >= 0;
+      if (posts_early) plan.post_waits[q] = 0;
       for (const int dep : op.deps) {
-        if (schedule_.op(dep).device == op.device) {
-          boundary = std::max(boundary, position_[static_cast<std::size_t>(dep)] + 1);
+        const Op& input = schedule_.op(dep);
+        if (input.device != op.device) continue;
+        const auto dq = static_cast<std::size_t>(position_[static_cast<std::size_t>(dep)]);
+        if (input.kind == OpKind::Collective) plan.consumed[dq] = 1;
+        if (posts_early) {
+          ++plan.post_waits[q];
+          plan.unblocks[dq].push_back(static_cast<int>(q));
         }
       }
-      posts_at_[d][static_cast<std::size_t>(boundary)].push_back(id);
     }
   }
 
@@ -128,16 +149,27 @@ void ScheduleExecutor::run_device(OpRunner& runner, int device, AbortToken& toke
   // serial when the machine is narrower than the pipeline).
   parallel::ScopedPool scope(pools_.empty() ? nullptr : pools_[lane].get());
   const std::vector<int>& seq = sequences_[lane];
+  const LanePlan& plan = plans_[lane];
   const bool overlap = runner.overlaps_collectives();
-  std::vector<char> pending(overlap ? seq.size() : 0, 0);  // by position: posted, not completed
+  // Overlap state, by sequence position.
+  const std::size_t n = overlap ? seq.size() : 0;
+  std::vector<char> ran(n, 0);        // a non-collective op has run
+  std::vector<char> posted(n, 0);     // a collective has been posted...
+  std::vector<char> completed(n, 0);  // ...and completed
+  std::vector<int> post_waits = overlap ? plan.post_waits : std::vector<int>{};
+  std::vector<std::size_t> unconsumed;  // posted collectives no op here depends on
   double compute = 0.0;
   double waited = 0.0;
+  int early = 0;
+  int lane_end = 0;
   int current_op = -1;
   bool ops_done = false;
   // Stats time ops only: the clock stops before the end-of-lane hook.
   const auto stop_clock = [&] {
     stats_.compute_seconds[lane] = compute;
     stats_.collective_wait_seconds[lane] = waited;
+    stats_.early_passes[lane] = early;
+    stats_.lane_end_completions[lane] = lane_end;
     result.ops_end = Clock::now();
   };
   // Only the lane whose abort() wins is the originating failure; a losing
@@ -147,79 +179,174 @@ void ScheduleExecutor::run_device(OpRunner& runner, int device, AbortToken& toke
     return token.abort(AbortReason{device, current_op, what}) ? Outcome::kFailed
                                                               : Outcome::kAborted;
   };
-  // Make op `id` the one a failure, the watchdog and the fence attribute to.
-  const auto announce = [&](int id, const Op& op) {
-    current_op = id;
-    if (watchdog != nullptr) watchdog->heartbeat(device, id);
+  const auto op_at = [&](std::size_t q) -> const Op& { return schedule_.op(seq[q]); };
+  const auto position = [&](int id) {
+    return static_cast<std::size_t>(position_[static_cast<std::size_t>(id)]);
+  };
+  // Make the op at `q` the one a failure, the watchdog and the fence
+  // attribute to.
+  const auto announce = [&](std::size_t q) {
+    const Op& op = op_at(q);
+    current_op = seq[q];
+    if (watchdog != nullptr) watchdog->heartbeat(device, current_op);
     if (fence_ != nullptr && fence_->active()) fence_->begin_op(device, op.label, op.microbatch);
   };
-  // The prologue of every op at its place in the sequence. The fault plan
-  // addresses ops by that place, so an op index names the same op whether
-  // or not collectives overlap.
-  const auto reach = [&](int id, const Op& op) {
+  // The prologue of every op, once, whether it runs at its place or early.
+  // The fault plan addresses ops by their place, so an op index names the
+  // same op however the device's ops interleave.
+  const auto reach = [&](std::size_t q) {
     // Devices busy computing (not blocked in a wait) still stop at the
     // next op boundary after a peer fails.
-    token.throw_if_aborted("device " + std::to_string(device) + " before op '" + op.label +
+    token.throw_if_aborted("device " + std::to_string(device) + " before op '" + op_at(q).label +
                            "'");
-    announce(id, op);
-    if (injector_ != nullptr) injector_->on_op(device, id, op.label, &token);
+    announce(q);
+    if (injector_ != nullptr) {
+      injector_->on_op_at(device, static_cast<int>(q), seq[q], op_at(q).label, &token);
+    }
+  };
+  // A post never blocks.
+  const auto post = [&](std::size_t q) {
+    token.throw_if_aborted("device " + std::to_string(device) + " before posting '" +
+                           op_at(q).label + "'");
+    announce(q);
+    runner.post_collective(op_at(q));
+    posted[q] = 1;
+    if (plan.consumed[q] == 0) unconsumed.push_back(q);
+  };
+  // The op at `q` ran, or its collective completed: post what waited on it.
+  const auto finished = [&](std::size_t q) {
+    for (const int c : plan.unblocks[q]) {
+      if (--post_waits[static_cast<std::size_t>(c)] == 0) post(static_cast<std::size_t>(c));
+    }
   };
   // A collective's result stays attributed to the collective op, not to
   // the op that consumes it.
-  const auto complete = [&](int id) {
-    const Op& op = schedule_.op(id);
-    announce(id, op);
+  const auto complete = [&](std::size_t q) {
+    announce(q);
     const auto t0 = Clock::now();
-    runner.complete_collective(op);
+    runner.complete_collective(op_at(q));
     waited += seconds_since(t0);
-    pending[static_cast<std::size_t>(position_[static_cast<std::size_t>(id)])] = 0;
+    completed[q] = 1;
+    finished(q);
   };
   const auto complete_inputs = [&](const Op& op) {
     for (const int dep : op.deps) {
       if (schedule_.op(dep).device != device) continue;
-      if (pending[static_cast<std::size_t>(position_[static_cast<std::size_t>(dep)])] != 0) {
-        complete(dep);
+      const std::size_t q = position(dep);
+      if (posted[q] != 0 && completed[q] == 0) complete(q);
+    }
+  };
+  // Whether `op` could run now without blocking: its same-device inputs
+  // have run or (collectives) are done, and the runner has the rest.
+  const auto inputs_ready = [&](const Op& op) {
+    for (const int dep : op.deps) {
+      const Op& input = schedule_.op(dep);
+      if (input.device != device) continue;
+      const std::size_t q = position(dep);
+      if (input.kind != OpKind::Collective) {
+        if (ran[q] == 0) return false;
+      } else if (posted[q] == 0 || (completed[q] == 0 && !runner.ready(input))) {
+        return false;
+      }
+    }
+    return runner.ready(op);
+  };
+  const auto run = [&](std::size_t q) {
+    const Op& op = op_at(q);
+    if (op.stream == Stream::Compute) {
+      const auto op_t0 = Clock::now();
+      runner.run_op(op);
+      compute += seconds_since(op_t0);
+    } else {
+      runner.run_op(op);
+    }
+    if (overlap) {
+      ran[q] = 1;
+      finished(q);
+    }
+  };
+  // Whether the fault plan names the op at `q`: nothing runs ahead of such
+  // an op, so its fault strikes after the same ops of this device, and the
+  // same posts, as in a strictly ordered run.
+  const auto named = [&](std::size_t q) {
+    return injector_ != nullptr && injector_->names_op(device, static_cast<int>(q));
+  };
+  // While the head at `h` would block, run the vocabulary passes queued
+  // behind it whose inputs are complete, up to the next transformer op. A
+  // pass never overtakes an earlier pass of its kind.
+  const auto fill = [&](std::size_t h) {
+    if (named(h)) return;
+    const Op& head = op_at(h);
+    unsigned held = pass_bit(head.kind);  // kinds with an earlier pass not yet run
+    for (std::size_t q = h + 1; q < seq.size() && !named(q); ++q) {
+      const Op& op = op_at(q);
+      const unsigned bit = pass_bit(op.kind);
+      if (op.kind == OpKind::Collective || ran[q] != 0 || (held & bit) != 0) continue;
+      if (bit == 0) return;  // the next transformer op ends the window
+      if (inputs_ready(head)) return;
+      if (!inputs_ready(op)) {
+        held |= bit;
+        continue;
+      }
+      complete_inputs(op);  // every one already done: no wait blocks
+      reach(q);
+      run(q);
+      ++early;
+    }
+  };
+  // Complete the posted collectives no op here consumes once they are done,
+  // so their buffers and the state they finish are released mid-lane.
+  const auto complete_unconsumed = [&] {
+    for (std::size_t i = 0; i < unconsumed.size();) {
+      const std::size_t q = unconsumed[i];
+      if (runner.ready(op_at(q))) {
+        unconsumed.erase(unconsumed.begin() + static_cast<std::ptrdiff_t>(i));
+        complete(q);
+      } else {
+        ++i;
       }
     }
   };
   try {
-    for (std::size_t b = 0; b <= seq.size(); ++b) {
+    for (std::size_t q = 0; q < n; ++q) {
+      if (post_waits[q] == 0) post(q);  // no same-device inputs
+    }
+    for (std::size_t h = 0; h < seq.size(); ++h) {
       if (overlap) {
-        for (const int id : posts_at_[lane][b]) {
-          const Op& op = schedule_.op(id);
-          complete_inputs(op);  // a collective may consume another (clipAR)
-          token.throw_if_aborted("device " + std::to_string(device) + " before posting '" +
-                                 op.label + "'");
-          announce(id, op);
-          runner.post_collective(op);
-          pending[static_cast<std::size_t>(position_[static_cast<std::size_t>(id)])] = 1;
-        }
+        if (ran[h] != 0) continue;  // ran early, to fill a wait
+        complete_unconsumed();
       }
-      if (b == seq.size()) break;
-      const int id = seq[b];
-      const Op& op = schedule_.op(id);
+      const Op& op = op_at(h);
       if (op.kind == OpKind::Collective) {
-        reach(id, op);
-        if (overlap) continue;  // posted at its boundary, completed where consumed
+        reach(h);
+        if (overlap) {
+          // Posted once its inputs ran, completed where consumed; a
+          // collective tied to no microbatch posts here.
+          if (posted[h] == 0) {
+            complete_inputs(op);  // a completed input may post it
+            if (posted[h] == 0) post(h);
+          }
+          continue;
+        }
         const auto t0 = Clock::now();
         runner.post_collective(op);
         runner.complete_collective(op);
         waited += seconds_since(t0);
         continue;
       }
-      if (overlap) complete_inputs(op);
-      reach(id, op);
-      if (op.stream == Stream::Compute) {
-        const auto op_t0 = Clock::now();
-        runner.run_op(op);
-        compute += seconds_since(op_t0);
-      } else {
-        runner.run_op(op);
+      if (overlap) {
+        fill(h);
+        complete_inputs(op);
       }
+      reach(h);
+      run(h);
     }
     // Every posted collective completes before the end-of-lane hook.
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      if (pending[i] != 0) complete(seq[i]);
+    for (std::size_t q = 0; q < n; ++q) {
+      if (posted[q] != 0 && completed[q] == 0) {
+        complete(q);
+        ++lane_end;
+      }
     }
     ops_done = true;
     stop_clock();
@@ -262,6 +389,8 @@ void ScheduleExecutor::execute(OpRunner& runner, int only_device) {
   stats_.wall_seconds = 0.0;
   stats_.compute_seconds.assign(static_cast<std::size_t>(p), 0.0);
   stats_.collective_wait_seconds.assign(static_cast<std::size_t>(p), 0.0);
+  stats_.early_passes.assign(static_cast<std::size_t>(p), 0);
+  stats_.lane_end_completions.assign(static_cast<std::size_t>(p), 0);
 
   // A run over an already-aborted token would have every comm wait throw
   // immediately; the owner must rebuild (or reset) first.

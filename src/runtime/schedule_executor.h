@@ -27,12 +27,23 @@
 // execution cannot deadlock.
 //
 // Collectives overlap compute where the transport allows it
-// (OpRunner::overlaps_collectives): a device posts a collective at the first
-// op boundary after its same-device dependencies ran and waits on it just
-// before the first op that consumes it. A post never blocks and a wait
-// happens no earlier than the blocking call it replaces, so every blocked
-// wait still points backward in the common order and the certificate above
-// still holds (DESIGN.md §10).
+// (OpRunner::overlaps_collectives): a device posts a per-microbatch
+// collective as soon as its same-device dependencies have run and waits on
+// it just before the first op that consumes it; a collective no op of the
+// device consumes completes at the first op boundary where it is done. A
+// post never blocks and a blocking wait happens no earlier than the blocking
+// call it replaces, so every blocked wait still points backward in the
+// common order and the certificate above still holds (DESIGN.md §10).
+//
+// Ready vocabulary passes fill a blocked device: when the device's next op
+// in its sequence (the head) would block on a collective or a P2P message
+// (OpRunner::ready), the executor first runs the vocabulary passes (S, T, i,
+// j) queued behind the head, up to the next transformer op, whose inputs
+// are complete — each pass kind in sequence order — and then blocks on the
+// head. A pass run early never blocks, and it only moves ahead of the head
+// and of passes of other kinds, so every accumulator sees the same sequence
+// of updates and the results stay bit-identical. Nothing runs ahead of an
+// op a fault plan names.
 //
 // Compilation as a static check
 // -----------------------------
@@ -89,14 +100,22 @@ class OpRunner {
   virtual ~OpRunner() = default;
   virtual void run_op(const Op& op) = 0;
   /// Whether post_collective returns without waiting for the other members.
-  /// If so, the executor posts each collective at the first op boundary
-  /// after its same-device dependencies ran and completes it just before the
-  /// first same-device op that depends on it (the rest before the end-of-lane
-  /// hook). Otherwise both halves run at the op's place in the device
-  /// sequence, one after the other.
+  /// If so, the executor posts each per-microbatch collective as soon as its
+  /// same-device dependencies have run (a collective tied to no microbatch,
+  /// such as the clip all-reduce, at its place), completes it just before
+  /// the first same-device op that depends on it, and fills waits with ready
+  /// vocabulary passes (see ready()). Otherwise every op runs at its place
+  /// in the device sequence, a collective's two halves one after the other.
   [[nodiscard]] virtual bool overlaps_collectives() const { return false; }
   virtual void post_collective(const Op& op) { run_op(op); }
   virtual void complete_collective(const Op& /*op*/) {}
+  /// Whether `op` can start without blocking on another device: for a
+  /// posted collective, whether complete_collective would return at once;
+  /// for any other op, whether its inputs from other devices (P2P
+  /// activations and gradients) have arrived. Same-device inputs are the
+  /// executor's to track. Never blocks. Consulted only when the runner
+  /// overlaps collectives; the default, false, keeps every op at its place.
+  [[nodiscard]] virtual bool ready(const Op& /*op*/) { return false; }
   /// End-of-lane hook, invoked on `device`'s thread after its last op. It
   /// runs after the watchdog stops monitoring the lane and outside the op
   /// timing, but inside the failure protocol: a throw here aborts the run
@@ -117,6 +136,12 @@ struct ExecutorStats {
   /// other members and taking the result — plus, where posts block, the
   /// posts themselves.
   std::vector<double> collective_wait_seconds;
+  /// Per device: vocabulary passes run ahead of a blocked op (0 when the
+  /// runner does not overlap collectives).
+  std::vector<int> early_passes;
+  /// Per device: posted collectives still pending after the lane's last op,
+  /// completed before the end-of-lane hook.
+  std::vector<int> lane_end_completions;
 
   [[nodiscard]] double idle_fraction(int device) const;
 };
@@ -137,8 +162,9 @@ class ScheduleExecutor {
   ScheduleExecutor& operator=(const ScheduleExecutor&) = delete;
 
   /// Execute every op of the schedule once: p device threads, each invoking
-  /// the runner over its sequence in the certified order (collectives posted
-  /// early and completed late when the runner overlaps them) and then
+  /// the runner over its sequence in the certified order (when the runner
+  /// overlaps collectives: collectives posted early and completed late, and
+  /// ready vocabulary passes run ahead of a blocked op) and then
   /// `runner.finish_lane`.
   ///
   /// Failure protocol: the first device-thread exception aborts the shared
@@ -211,14 +237,24 @@ class ScheduleExecutor {
   void run_device(OpRunner& runner, int device, AbortToken& token, Watchdog* watchdog,
                   LaneResult& result);
 
+  /// One device's overlap plan, by position in its sequence. Used when the
+  /// runner overlaps collectives.
+  struct LanePlan {
+    // A per-microbatch collective: how many same-device dependencies must
+    // finish (an op run, a collective completed) before it is posted. -1
+    // for every other position; 0 posts at the lane start.
+    std::vector<int> post_waits;
+    // The per-microbatch collectives whose post waits on this position.
+    std::vector<std::vector<int>> unblocks;
+    // A collective: whether a same-device op depends on it.
+    std::vector<char> consumed;
+  };
+
   PipelineSchedule schedule_;
   program::CompiledProgram program_;        // compiled + statically verified
   std::vector<std::vector<int>> sequences_;  // per device, op ids in issue order
   std::vector<int> position_;                // op id -> index in its device's sequence
-  // Per device and op boundary b (before sequence position b; b = size is
-  // the lane end): the collectives whose same-device dependencies all
-  // precede b, in sequence order. Used when the runner overlaps collectives.
-  std::vector<std::vector<std::vector<int>>> posts_at_;
+  std::vector<LanePlan> plans_;              // per device
   std::vector<std::unique_ptr<parallel::ThreadPool>> pools_;  // per device; empty when serial
   int threads_per_device_ = 1;
   ExecutorStats stats_;

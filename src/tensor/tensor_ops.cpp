@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "common/error.h"
 #include "parallel/thread_pool.h"
@@ -30,11 +31,34 @@ std::int64_t row_grain(std::int64_t steps_per_row) {
 // matmul_nt). The kernels stream B once per chunk, so one-row chunks (what
 // row_grain gives the output layer's [32, h] @ [V/p, h]^T and its two
 // backward products) would stream the whole of B once per output row.
-// Eight rows still leave a 32-token microbatch four chunks for the pool.
+// Eight rows still leave a 32-token microbatch four chunks for the pool;
+// where no pool runs them (a pipeline device thread), matmul and its bf16
+// form make one kernel call over every row instead (parallel_for_rows):
+// rows are independent, so the bytes are the same.
 constexpr std::int64_t kMatmulMinRows = 8;
 
 std::int64_t matmul_row_grain(std::int64_t k, std::int64_t n) {
   return std::max(row_grain(k * n), kMatmulMinRows);
+}
+
+// matmul_nt re-reads A's rows for every four-row panel of B, so one call
+// over every row pays off only while those rows stay in L1. The cutoff sits
+// between the largest A measured faster in one call and the smallest
+// measured slower (serial, one pinned core with a 48 KiB L1d): A = 32 KiB,
+// the h = 64 MLP's [32, 256] @ [64, 256]^T, ran about 11% faster, as did the
+// 16 KiB logits [32, 128] @ [N, 128]^T (12% at N = 2048, 26% at N = 8192);
+// A = 64 KiB, the h = 128 MLP's [32, 512] @ [128, 512]^T, ran about 30%
+// slower, so it keeps the eight-row chunks that keep A cached.
+constexpr std::int64_t kNtWholeRowsBytes = 32 * 1024;
+
+void for_nt_row_chunks(std::int64_t m, std::int64_t k, std::int64_t n,
+                       const std::function<void(std::int64_t, std::int64_t)>& body) {
+  const std::int64_t grain = matmul_row_grain(k, n);
+  if (m * k * static_cast<std::int64_t>(sizeof(float)) <= kNtWholeRowsBytes) {
+    parallel::parallel_for_rows(0, m, grain, body);
+  } else {
+    parallel::parallel_for(0, m, grain, body);
+  }
 }
 
 // The inner loops live in the runtime-dispatched kernel tables (tensor/simd.h).
@@ -55,7 +79,7 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   float* pc = c.data();
   // Parallel over output rows, in chunks of whole register tiles.
   const simd::Kernels& ks = simd::kernels();
-  parallel::parallel_for(0, m, matmul_row_grain(k, n), [&](std::int64_t i0, std::int64_t i1) {
+  parallel::parallel_for_rows(0, m, matmul_row_grain(k, n), [&](std::int64_t i0, std::int64_t i1) {
     ks.matmul_rows(pa, pb, pc, i0, i1, n, k);
   });
   return c;
@@ -73,7 +97,7 @@ Tensor matmul_bf16(const Tensor& a, const Bf16Tensor& b) {
   const std::uint16_t* pb = b.data();
   float* pc = c.data();
   const simd::Kernels& ks = simd::kernels();
-  parallel::parallel_for(0, m, matmul_row_grain(k, n), [&](std::int64_t i0, std::int64_t i1) {
+  parallel::parallel_for_rows(0, m, matmul_row_grain(k, n), [&](std::int64_t i0, std::int64_t i1) {
     ks.matmul_bf16_rows(pa, pb, pc, i0, i1, n, k);
   });
   return c;
@@ -91,7 +115,7 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
   // Row-times-row dot products, parallel over A rows in chunks of whole
   // register tiles; each four-row panel of B serves every row of the chunk.
   const simd::Kernels& ks = simd::kernels();
-  parallel::parallel_for(0, m, matmul_row_grain(k, n), [&](std::int64_t i0, std::int64_t i1) {
+  for_nt_row_chunks(m, k, n, [&](std::int64_t i0, std::int64_t i1) {
     ks.matmul_nt_rows(pa, pb, pc, i0, i1, n, k);
   });
   return c;
@@ -109,7 +133,7 @@ Tensor matmul_nt_bf16(const Tensor& a, const Bf16Tensor& b) {
   const std::uint16_t* pb = b.data();
   float* pc = c.data();
   const simd::Kernels& ks = simd::kernels();
-  parallel::parallel_for(0, m, matmul_row_grain(k, n), [&](std::int64_t i0, std::int64_t i1) {
+  for_nt_row_chunks(m, k, n, [&](std::int64_t i0, std::int64_t i1) {
     ks.matmul_nt_bf16_rows(pa, pb, pc, i0, i1, n, k);
   });
   return c;

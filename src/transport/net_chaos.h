@@ -5,7 +5,7 @@
 /// Chaos is *not* random at this layer: every event originates from a
 /// seed-deterministic FaultSpec (kind ∈ {DropConnection, PartitionPeer,
 /// DuplicateFrame, TruncateFrame, StallSocket}) that fired in
-/// FaultInjector::on_op on this rank. NetChaos adapts the injector's armed
+/// FaultInjector::on_op_at on this rank. NetChaos adapts the injector's armed
 /// events to the supervisor's duty loop: `poll()` pops the next event,
 /// resolves the target peer rank (spec.element mod world, skipping self),
 /// and records what was applied so a soak run can print — and a replay can

@@ -126,6 +126,12 @@ std::size_t ThreadMailbox::size() const {
   return queue_.size();
 }
 
+bool ThreadMailbox::has_tag(const std::string& tag) const {
+  std::lock_guard lock(mutex_);
+  return std::any_of(queue_.begin(), queue_.end(),
+                     [&](const Message& m) { return m.tag == tag; });
+}
+
 std::string ThreadMailbox::describe() const {
   std::lock_guard lock(mutex_);
   return describe_queue(queue_, capacity_);
@@ -253,17 +259,30 @@ std::string ThreadCollective::stuck_waits() const {
   return os.str();
 }
 
-void ThreadCollective::wait(int rank, const std::string& tag) {
-  check_rank(rank);
+std::list<ThreadCollective::InFlight>::iterator ThreadCollective::posted_by(
+    int rank, const std::string& tag) {
   const auto r = static_cast<std::size_t>(rank);
-  std::unique_lock lock(mutex_);
   const auto it = std::find_if(in_flight_.begin(), in_flight_.end(), [&](const InFlight& c) {
     return c.tag == tag && c.posted[r] && !c.released[r];
   });
   if (it == in_flight_.end()) {
     if (!failure_.empty()) throw DeadlockError("collective aborted: " + failure_);
-    VOCAB_FAIL("rank " << rank << " waits on collective '" << tag << "' it has not posted");
+    VOCAB_FAIL("rank " << rank << " has not posted a collective '" << tag << "' to wait on");
   }
+  return it;
+}
+
+bool ThreadCollective::test(int rank, const std::string& tag) {
+  check_rank(rank);
+  std::lock_guard lock(mutex_);
+  return posted_by(rank, tag)->done;
+}
+
+void ThreadCollective::wait(int rank, const std::string& tag) {
+  check_rank(rank);
+  const auto r = static_cast<std::size_t>(rank);
+  std::unique_lock lock(mutex_);
+  const auto it = posted_by(rank, tag);
   InFlight& c = *it;
   const auto t0 = std::chrono::steady_clock::now();
   const auto deadline = t0 + timeout_;

@@ -31,6 +31,7 @@ class ThreadMailbox final : public Mailbox {
   Tensor recv_tag(const std::string& tag) override;
   void clear() override;
   [[nodiscard]] std::size_t size() const override;
+  [[nodiscard]] bool has_tag(const std::string& tag) const override;
   [[nodiscard]] std::string describe() const override;
 
  private:
@@ -68,6 +69,7 @@ class ThreadCollective final : public Collective {
   Tensor all_gather_rows(int rank, const Tensor& data, const std::string& tag) override;
   void post(int rank, const std::string& tag, const CollectiveRequest& request) override;
   void wait(int rank, const std::string& tag) override;
+  [[nodiscard]] bool test(int rank, const std::string& tag) override;
   [[nodiscard]] bool nonblocking_post() const override { return true; }
   [[nodiscard]] std::uint64_t completed_collectives() const override;
   [[nodiscard]] std::vector<int> waiting_ranks() const override;
@@ -99,6 +101,9 @@ class ThreadCollective final : public Collective {
   /// none reads `c` again before it is marked done.
   static void fold(InFlight& c, int world);
   void check_rank(int rank) const;
+  /// The collective `rank` posted under `tag` and has not waited on yet;
+  /// throws when there is none. Requires the mutex held.
+  std::list<InFlight>::iterator posted_by(int rank, const std::string& tag);
   /// Every rank is blocked waiting on a collective that some rank has not
   /// posted: no rank is left to post, so none of them can complete. Returns
   /// the per-rank waits when that holds, else "". Requires the mutex held.

@@ -132,6 +132,11 @@ class Mailbox {
   virtual Tensor recv_tag(const std::string& tag) = 0;
   virtual void clear() = 0;
   [[nodiscard]] virtual std::size_t size() const = 0;
+  /// Whether a message tagged `tag` is queued, so recv_tag(tag) would not
+  /// block. Never blocks. A backend without a non-blocking probe reports
+  /// true: a caller that fills waits with other work then just blocks in
+  /// order.
+  [[nodiscard]] virtual bool has_tag(const std::string& /*tag*/) const { return true; }
   /// One-line occupancy + queued-tags + transport diagnostics snapshot.
   [[nodiscard]] virtual std::string describe() const = 0;
 };
@@ -175,6 +180,10 @@ class Collective {
   /// and its result is in the request's buffers. The default has nothing
   /// left to wait for.
   virtual void wait(int rank, const std::string& tag);
+  /// Whether the collective this rank posted under `tag` has completed, so
+  /// wait(rank, tag) would return at once. Never blocks. The default post
+  /// already delivered the result.
+  [[nodiscard]] virtual bool test(int /*rank*/, const std::string& /*tag*/) { return true; }
   [[nodiscard]] virtual bool nonblocking_post() const { return false; }
 
   [[nodiscard]] virtual std::uint64_t completed_collectives() const = 0;

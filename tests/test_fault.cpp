@@ -346,15 +346,15 @@ TEST(FaultInjector, SpecsAreOneShotAcrossRetries) {
   FaultInjector injector(FaultPlan::single(spec));
 
   injector.begin_iteration(0);
-  EXPECT_NO_THROW(injector.on_op(0, 10, "F0", nullptr));
-  EXPECT_NO_THROW(injector.on_op(0, 11, "F1", nullptr));
-  EXPECT_THROW(injector.on_op(0, 12, "F2", nullptr), InjectedFault);
+  EXPECT_NO_THROW(injector.on_op_at(0, 0, 10, "F0", nullptr));
+  EXPECT_NO_THROW(injector.on_op_at(0, 1, 11, "F1", nullptr));
+  EXPECT_THROW(injector.on_op_at(0, 2, 12, "F2", nullptr), InjectedFault);
   EXPECT_EQ(injector.faults_fired(), 1);
 
   // A recovery retry of the same iteration must not re-fire the spec.
   injector.begin_iteration(0);
   for (int i = 0; i < 5; ++i) {
-    EXPECT_NO_THROW(injector.on_op(0, 10 + i, "F", nullptr));
+    EXPECT_NO_THROW(injector.on_op_at(0, i, 10 + i, "F", nullptr));
   }
   EXPECT_EQ(injector.faults_fired(), 1);
 }

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
@@ -12,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "comm/device_group.h"
 #include "common/error.h"
 #include "cost/cost_model.h"
 #include "model/gpt.h"
@@ -21,6 +23,9 @@
 #include "schedule/layer_assignment.h"
 #include "schedule/schedule_1f1b.h"
 #include "schedule/schedule_1f1b_vocab.h"
+#include "schedule/schedule_gpipe.h"
+#include "schedule/schedule_vhalf.h"
+#include "schedule/schedule_zb.h"
 #include "tensor/tensor_ops.h"
 
 namespace vocab {
@@ -193,6 +198,217 @@ TEST(ScheduleExecutor, PartitionsThreadBudgetAcrossDevices) {
   EXPECT_EQ(wide.threads_per_device(), 4);
   const ScheduleExecutor narrow(build_1f1b(cm, 2, uniform_assignment(8, 2)), /*total_threads=*/2);
   EXPECT_EQ(narrow.threads_per_device(), 1);  // quotient < 2 → serial kernels
+}
+
+// ---------------------------------------------------------------------------
+// Ready vocabulary passes fill a blocked device.
+// ---------------------------------------------------------------------------
+
+// Records the order one lane runs its ops in. Its collectives are complete
+// as soon as they are posted, and every op is ready except the transformer
+// ops and passes named in `blocked`, whose inputs never arrive until the
+// executor runs them at their place.
+struct FillRecorder : OpRunner {
+  std::vector<std::string> blocked;  // labels reported not ready
+  std::vector<int> order;            // op ids, in run order
+
+  void run_op(const Op& op) override { order.push_back(op.id); }
+  [[nodiscard]] bool overlaps_collectives() const override { return true; }
+  void post_collective(const Op& /*op*/) override {}
+  [[nodiscard]] bool ready(const Op& op) override {
+    return std::find(blocked.begin(), blocked.end(), op.label) == blocked.end();
+  }
+
+  [[nodiscard]] std::size_t run_index(const PipelineSchedule& s, const std::string& label) const {
+    const auto it = std::find_if(order.begin(), order.end(),
+                                 [&](int id) { return s.op(id).label == label; });
+    return static_cast<std::size_t>(it - order.begin());
+  }
+};
+
+// Runs device `d`'s lane of `ex` with `runner`; returns how many ops ran
+// ahead of an op that precedes them in the device sequence.
+int run_lane_counting_early(ScheduleExecutor& ex, FillRecorder& runner, int d) {
+  ex.run_lane(runner, d);
+  std::vector<int> position(ex.schedule().ops.size(), -1);
+  const std::vector<int>& seq = ex.device_sequence(d);
+  for (std::size_t i = 0; i < seq.size(); ++i) {
+    position[static_cast<std::size_t>(seq[i])] = static_cast<int>(i);
+  }
+  int early = 0;
+  int pending_min = 0;  // lowest position not yet run, scanning the run order
+  std::vector<char> ran(seq.size(), 0);
+  for (const int id : runner.order) {
+    const int q = position[static_cast<std::size_t>(id)];
+    if (q > pending_min) ++early;
+    ran[static_cast<std::size_t>(q)] = 1;
+    while (pending_min < static_cast<int>(seq.size()) &&
+           (ran[static_cast<std::size_t>(pending_min)] != 0 ||
+            ex.schedule().op(seq[static_cast<std::size_t>(pending_min)]).kind ==
+                OpKind::Collective)) {
+      ++pending_min;
+    }
+  }
+  return early;
+}
+
+// Device 2 of 1F1B-vocab (Alg2, p=4, m=8) runs "... B0 S1 T0 C1.1 C0.2 i4
+// F3 ... S2 ...": while B0 waits for its gradient, S1, T0 and i4 have
+// their inputs and run first; S2, behind F3, waits its turn.
+TEST(FillRule, ReadyPassBehindABlockedHeadRunsFirst) {
+  const CostModel cm = exec_cost_model(8);
+  ScheduleExecutor ex(build_1f1b_vocab(cm, 4, OutputAlgo::Alg2));
+  const PipelineSchedule& s = ex.schedule();
+  FillRecorder runner;
+  runner.blocked = {"B0"};
+  const int early = run_lane_counting_early(ex, runner, 2);
+
+  const std::vector<int>& seq = ex.device_sequence(2);
+  ASSERT_EQ(runner.order.size(),
+            static_cast<std::size_t>(std::count_if(seq.begin(), seq.end(), [&](int id) {
+              return s.op(id).kind != OpKind::Collective;
+            })));
+  EXPECT_LT(runner.run_index(s, "S1"), runner.run_index(s, "B0"));
+  EXPECT_LT(runner.run_index(s, "T0"), runner.run_index(s, "B0"));
+  EXPECT_LT(runner.run_index(s, "i4"), runner.run_index(s, "B0"));
+  EXPECT_LT(runner.run_index(s, "B0"), runner.run_index(s, "F3"));
+  EXPECT_GT(runner.run_index(s, "S2"), runner.run_index(s, "F3"));
+  EXPECT_EQ(early, 3);
+  EXPECT_EQ(ex.last_stats().early_passes[2], early);
+}
+
+// The tail of device 2's lane is "... B7 jBC6 T7 j5 j6 jBC7 j7": with B7
+// blocked and j5's input missing, T7 runs first but j6 and j7 never
+// overtake j5.
+TEST(FillRule, TwoPassesOfOneKindNeverSwap) {
+  const CostModel cm = exec_cost_model(8);
+  ScheduleExecutor ex(build_1f1b_vocab(cm, 4, OutputAlgo::Alg2));
+  const PipelineSchedule& s = ex.schedule();
+  FillRecorder runner;
+  runner.blocked = {"B7", "j5"};
+  const int early = run_lane_counting_early(ex, runner, 2);
+
+  EXPECT_LT(runner.run_index(s, "T7"), runner.run_index(s, "B7"));
+  EXPECT_LT(runner.run_index(s, "B7"), runner.run_index(s, "j5"));
+  EXPECT_LT(runner.run_index(s, "j5"), runner.run_index(s, "j6"));
+  EXPECT_LT(runner.run_index(s, "j6"), runner.run_index(s, "j7"));
+  EXPECT_EQ(early, 1);
+  EXPECT_EQ(ex.last_stats().early_passes[2], early);
+}
+
+// Nothing runs ahead of an op a fault plan names, so the fault strikes after
+// the same ops as in a strictly ordered run. With the blocked head B0 named,
+// S1, T0 and i4 wait behind it; with T0 named, S1 still fills B0's wait but
+// T0 and i4 run at their places.
+TEST(FillRule, NothingRunsAheadOfAnOpTheFaultPlanNames) {
+  const CostModel cm = exec_cost_model(8);
+  ScheduleExecutor ex(build_1f1b_vocab(cm, 4, OutputAlgo::Alg2));
+  const PipelineSchedule& s = ex.schedule();
+  const std::vector<int>& seq = ex.device_sequence(2);
+  const auto run_naming = [&](const std::string& label, FillRecorder& runner) {
+    FaultSpec spec;
+    spec.kind = FaultKind::DelayOp;  // no delay: the spec only names the op
+    spec.device = 2;
+    spec.op_index = static_cast<int>(
+        std::find_if(seq.begin(), seq.end(), [&](int id) { return s.op(id).label == label; }) -
+        seq.begin());
+    auto injector = std::make_shared<FaultInjector>(FaultPlan::single(spec));
+    ex.set_fault_injector(injector);
+    runner.blocked = {"B0"};
+    const int early = run_lane_counting_early(ex, runner, 2);
+    EXPECT_EQ(injector->faults_fired(), 1) << label;
+    EXPECT_EQ(ex.last_stats().early_passes[2], early) << label;
+    return early;
+  };
+
+  FillRecorder head;
+  EXPECT_EQ(run_naming("B0", head), 0);
+  EXPECT_LT(head.run_index(s, "B0"), head.run_index(s, "S1"));
+  EXPECT_LT(head.run_index(s, "B0"), head.run_index(s, "T0"));
+  EXPECT_LT(head.run_index(s, "B0"), head.run_index(s, "i4"));
+
+  FillRecorder behind;
+  EXPECT_EQ(run_naming("T0", behind), 1);
+  EXPECT_LT(behind.run_index(s, "S1"), behind.run_index(s, "B0"));
+  EXPECT_LT(behind.run_index(s, "B0"), behind.run_index(s, "T0"));
+  EXPECT_LT(behind.run_index(s, "T0"), behind.run_index(s, "i4"));
+}
+
+// Without collective overlap the executor never consults readiness: every
+// lane of every flavour's schedule runs its certified sequence exactly.
+TEST(FillRule, RunnerWithoutOverlapKeepsTheCertifiedOrder) {
+  const CostModel cm = exec_cost_model(8);
+  std::vector<PipelineSchedule> schedules;
+  for (const OutputAlgo algo : {OutputAlgo::Alg1, OutputAlgo::Alg2}) {
+    schedules.push_back(build_naive_vocab(cm, 4, algo));
+    schedules.push_back(build_gpipe_vocab(cm, 4, algo));
+    schedules.push_back(build_1f1b_vocab(cm, 4, algo));
+    schedules.push_back(build_zb_vocab(cm, 4, algo, "", ZbOptions{}));
+  }
+  schedules.push_back(build_vhalf_vocab(cm, 4));
+  schedules.push_back(build_1f1b(cm, 4, uniform_assignment(8, 4)));
+  // Every transformer op reports its input missing: an executor that
+  // filled here would run the passes behind them first.
+  struct InOrder : OpRunner {
+    std::vector<int> order[4];
+    void run_op(const Op& op) override {
+      order[static_cast<std::size_t>(op.device)].push_back(op.id);
+    }
+    [[nodiscard]] bool ready(const Op& op) override {
+      return op.kind != OpKind::Forward && op.kind != OpKind::BackwardFull &&
+             op.kind != OpKind::BackwardInput && op.kind != OpKind::BackwardWeight;
+    }
+  };
+  for (PipelineSchedule& sched : schedules) {
+    const std::string name = sched.name;
+    ScheduleExecutor ex(std::move(sched));
+    InOrder runner;
+    ex.run(runner);
+    for (int d = 0; d < 4; ++d) {
+      // Collectives run through post/complete, which default to run_op.
+      EXPECT_EQ(runner.order[d], ex.device_sequence(d)) << name << " device " << d;
+      EXPECT_EQ(ex.last_stats().early_passes[static_cast<std::size_t>(d)], 0) << name;
+    }
+  }
+}
+
+// The trainer answers readiness from its mailboxes and collectives. On the
+// threads backend, 1F1B-vocab devices fill waits with passes; the folded
+// baseline has no vocabulary passes to run early.
+TEST(FillRule, VocabularyTrainersRunPassesEarlyAndTheBaselineNone) {
+  const GptConfig cfg = exec_config(/*tied=*/false);
+  SyntheticCorpus corpus(cfg.vocab, cfg.seq_len, 41);
+  const auto early_passes = [&](PipelineFlavor flavor, OutputAlgo algo) {
+    PipelineTrainer pipe(GptWeights::init(cfg, 40), 4, algo, flavor);
+    int total = 0;
+    for (int it = 0; it < 2; ++it) {
+      pipe.train_iteration(microbatches(corpus, it, 8), 0.1f);
+      for (const int n : pipe.last_executor_stats()->early_passes) total += n;
+    }
+    return total;
+  };
+  EXPECT_GT(early_passes(PipelineFlavor::OneFOneBVocab, OutputAlgo::Alg2), 0);
+  EXPECT_GT(early_passes(PipelineFlavor::OneFOneBVocab, OutputAlgo::Alg1), 0);
+  EXPECT_EQ(early_passes(PipelineFlavor::Baseline1F1B, OutputAlgo::Alg1), 0);
+}
+
+// Collectives no op of the device consumes — C2 off the last stage under
+// Alg1, the embedding all-reduce off device 0 — complete at the first op
+// boundary where they are done, not all at the lane end (which would hold
+// every microbatch's buffers and output-shard state for the iteration).
+TEST(FillRule, UnconsumedCollectivesCompleteBeforeTheLaneEnd) {
+  const GptConfig cfg = exec_config(/*tied=*/false);
+  constexpr int kM = 8;
+  PipelineTrainer pipe(GptWeights::init(cfg, 42), 4, OutputAlgo::Alg1,
+                       PipelineFlavor::OneFOneBVocab);
+  SyntheticCorpus corpus(cfg.vocab, cfg.seq_len, 43);
+  pipe.train_iteration(microbatches(corpus, 0, kM), 0.1f);
+  const ExecutorStats& stats = *pipe.last_executor_stats();
+  for (int d = 0; d < 4; ++d) {
+    EXPECT_LT(stats.lane_end_completions[static_cast<std::size_t>(d)], kM) << "device " << d;
+  }
+  EXPECT_EQ(pipe.comm_in_flight(), 0u);
+  EXPECT_TRUE(pipe.device_group()->waiting_ranks().empty());
 }
 
 // ---------------------------------------------------------------------------

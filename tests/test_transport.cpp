@@ -266,6 +266,36 @@ TEST(ThreadsBackend, DescribeNamesBackendAndHeartbeatIsUnavailable) {
       << group.describe();
 }
 
+// The probes the executor fills waits with: they answer at once, never
+// block, and turn true exactly when a receive or a wait would not block.
+TEST(ThreadsBackend, ProbesReportArrivalWithoutBlocking) {
+  transport::ThreadTransport backend;
+  Channel ch(4, std::chrono::seconds(5), &backend);
+  EXPECT_FALSE(ch.has_tag("act:s1:mb0"));
+  ch.send("act:s1:mb0", Tensor({2}, 1.0f));
+  EXPECT_TRUE(ch.has_tag("act:s1:mb0"));
+  EXPECT_FALSE(ch.has_tag("act:s1:mb1"));
+  (void)ch.recv_tag("act:s1:mb0");
+  EXPECT_FALSE(ch.has_tag("act:s1:mb0"));
+
+  // Posts never block on this backend, so one thread drives both ranks.
+  DeviceGroup group(2, std::chrono::seconds(5), &backend);
+  Tensor a({2}, 1.0f), b({2}, 2.0f);
+  group.post_all_reduce(0, a, ReduceOp::Sum, "C2.0");
+  EXPECT_FALSE(group.test(0, "C2.0"));
+  group.post_all_reduce(1, b, ReduceOp::Sum, "C2.0");
+  EXPECT_TRUE(group.test(0, "C2.0"));
+  EXPECT_TRUE(group.test(1, "C2.0"));
+  group.wait(0, "C2.0");
+  group.wait(1, "C2.0");
+  EXPECT_FLOAT_EQ(a.at(0), 3.0f);
+  EXPECT_FLOAT_EQ(b.at(1), 3.0f);
+  // Testing a collective this rank never posted is a schedule bug, as a
+  // wait on it would be.
+  EXPECT_THROW((void)group.test(0, "C2.0"), Error);
+  EXPECT_TRUE(group.waiting_ranks().empty());
+}
+
 // ---------------------------------------------------------------------------
 // Shm backend, in-process mode.
 // ---------------------------------------------------------------------------
@@ -407,12 +437,13 @@ TEST(ShmBackend, TrainerBitIdenticalToThreads) {
 }
 
 // Where collectives overlap compute: at p=4 the threads backend posts each
-// collective as soon as the device's own inputs exist and waits where the
-// result is consumed, while shm (and tcp, below) still rendezvous at the
-// collective's place in the certified sequence. Losses and exported weights
-// must be bitwise equal all the same, for the flavors whose barriers overlap
-// the most: 1F1B-vocab with Alg2, GPipe with Alg2 (what `auto` runs) and
-// V-Half.
+// collective as soon as the device's own inputs exist, waits where the
+// result is consumed and fills waits with ready vocabulary passes, while shm
+// (and tcp, below) still rendezvous at the collective's place in the
+// certified sequence and run that sequence exactly. Losses and exported
+// weights must be bitwise equal all the same, for the flavors whose barriers
+// overlap the most: 1F1B-vocab with both algorithms, GPipe with Alg2 (what
+// `auto` runs), V-Half and ZB with Alg2.
 struct OverlapCase {
   PipelineFlavor flavor;
   OutputAlgo algo;
@@ -420,9 +451,33 @@ struct OverlapCase {
 
 constexpr OverlapCase kOverlapCases[] = {
     {PipelineFlavor::OneFOneBVocab, OutputAlgo::Alg2},
+    {PipelineFlavor::OneFOneBVocab, OutputAlgo::Alg1},
     {PipelineFlavor::Gpipe, OutputAlgo::Alg2},
     {PipelineFlavor::VHalf, OutputAlgo::Alg1},
+    {PipelineFlavor::ZbVocab, OutputAlgo::Alg2},
 };
+
+bool same_bytes(const Tensor& a, const Tensor& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data(), b.data(), static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+void expect_memcmp_equal(const GptWeights& a, const GptWeights& b) {
+  EXPECT_TRUE(same_bytes(a.input_embedding, b.input_embedding));
+  EXPECT_TRUE(same_bytes(a.pos_embedding, b.pos_embedding));
+  EXPECT_TRUE(same_bytes(a.output_weight, b.output_weight));
+  ASSERT_EQ(a.layers.size(), b.layers.size());
+  for (std::size_t l = 0; l < a.layers.size(); ++l) {
+    const LayerWeights& x = a.layers[l];
+    const LayerWeights& y = b.layers[l];
+    for (const auto member : {&LayerWeights::ln1_g, &LayerWeights::ln1_b, &LayerWeights::wq,
+                              &LayerWeights::wk, &LayerWeights::wv, &LayerWeights::wo,
+                              &LayerWeights::ln2_g, &LayerWeights::ln2_b, &LayerWeights::w1,
+                              &LayerWeights::b1, &LayerWeights::w2, &LayerWeights::b2}) {
+      EXPECT_TRUE(same_bytes(x.*member, y.*member)) << "layer " << l;
+    }
+  }
+}
 
 void expect_p4_trainers_bit_identical(transport::Transport& other, std::uint64_t seed) {
   EnvGuard guard("VOCAB_TRANSPORT", nullptr);
@@ -431,24 +486,37 @@ void expect_p4_trainers_bit_identical(transport::Transport& other, std::uint64_t
   const OptimizerConfig opt = OptimizerConfig::adam(1e-3f);
   constexpr int kIters = 2;
   for (const OverlapCase& c : kOverlapCases) {
+    struct Run {
+      std::vector<float> losses;
+      GptWeights weights;
+      int early_passes = 0;  // over every device and iteration
+    };
     auto run = [&](transport::Transport* backend) {
       PipelineTrainer trainer(GptWeights::init(cfg, seed), /*p=*/4, c.algo, c.flavor, backend);
-      std::vector<float> losses;
+      Run r;
       for (int it = 0; it < kIters; ++it) {
-        losses.push_back(trainer.train_iteration(microbatches(corpus, it, 8), opt));
+        r.losses.push_back(trainer.train_iteration(microbatches(corpus, it, 8), opt));
+        for (const int n : trainer.last_executor_stats()->early_passes) r.early_passes += n;
       }
-      return std::make_pair(losses, trainer.export_weights());
+      r.weights = trainer.export_weights();
+      return r;
     };
     transport::ThreadTransport threads;
-    const auto [threads_losses, threads_weights] = run(&threads);
-    const auto [other_losses, other_weights] = run(&other);
-    ASSERT_EQ(threads_losses.size(), other_losses.size());
-    for (int it = 0; it < kIters; ++it) {
-      EXPECT_EQ(threads_losses[static_cast<std::size_t>(it)],
-                other_losses[static_cast<std::size_t>(it)])
-          << to_string(c.flavor) << " " << to_string(c.algo) << " iteration " << it;
+    const Run via_threads = run(&threads);
+    const Run via_other = run(&other);
+    const std::string name = std::string(to_string(c.flavor)) + " " + to_string(c.algo);
+    ASSERT_EQ(via_threads.losses.size(), via_other.losses.size());
+    EXPECT_EQ(std::memcmp(via_threads.losses.data(), via_other.losses.data(),
+                          via_threads.losses.size() * sizeof(float)),
+              0)
+        << name;
+    expect_memcmp_equal(via_threads.weights, via_other.weights);
+    // Threads fills waits with ready passes; the other backend keeps the
+    // certified order exactly.
+    if (c.flavor == PipelineFlavor::OneFOneBVocab) {
+      EXPECT_GT(via_threads.early_passes, 0) << name;
     }
-    expect_bitwise_equal(threads_weights, other_weights);
+    EXPECT_EQ(via_other.early_passes, 0) << name;
   }
 }
 
@@ -489,9 +557,9 @@ TEST(TransportFaults, DropAndDelayArmOneShot) {
 
   FaultInjector injector(plan);
   injector.begin_iteration(0);
-  EXPECT_FALSE(injector.take_message_drop(0));  // not armed before on_op
-  injector.on_op(0, 0, "F0", nullptr);
-  injector.on_op(1, 100, "F0", nullptr);
+  EXPECT_FALSE(injector.take_message_drop(0));  // not armed before on_op_at
+  injector.on_op_at(0, 0, 0, "F0", nullptr);
+  injector.on_op_at(1, 0, 100, "F0", nullptr);
   EXPECT_EQ(injector.faults_fired(), 2);
 
   EXPECT_TRUE(injector.take_message_drop(0));
@@ -502,7 +570,7 @@ TEST(TransportFaults, DropAndDelayArmOneShot) {
 
   // One-shot: the same iteration retried does not re-fire.
   injector.begin_iteration(0);
-  injector.on_op(0, 0, "F0", nullptr);
+  injector.on_op_at(0, 0, 0, "F0", nullptr);
   EXPECT_FALSE(injector.take_message_drop(0));
 }
 
@@ -519,7 +587,7 @@ TEST(TransportFaults, SuppressHeartbeatWindowOutlivesIterations) {
   FaultInjector injector(plan);
   injector.begin_iteration(0);
   EXPECT_FALSE(injector.heartbeat_suppressed(0));
-  injector.on_op(0, 0, "F0", nullptr);
+  injector.on_op_at(0, 0, 0, "F0", nullptr);
   EXPECT_TRUE(injector.heartbeat_suppressed(0));
   EXPECT_FALSE(injector.heartbeat_suppressed(1));
 
@@ -1356,7 +1424,7 @@ TEST(TcpFork, PartitionBecomesCoordinatedAbort) {
       // Arm the partition only after the mesh is up — a blackhole during the
       // rendezvous would be a connect failure, not a partition.
       injector->begin_iteration(0);
-      injector->on_op(1, 0, "partition", nullptr);
+      injector->on_op_at(1, 0, 0, "partition", nullptr);
       (void)inbox1.recv_tag("never-sent");
     } else {
       (void)inbox0.recv_tag("never-sent");
@@ -1419,7 +1487,7 @@ TEST(TcpFork, ReconnectAfterTransientDropKeepsDataIntact) {
           // Sever the link mid-conversation; the remaining messages must
           // still arrive via reconnect + retransmission.
           injector->begin_iteration(0);
-          injector->on_op(1, 0, "drop", nullptr);
+          injector->on_op_at(1, 0, 0, "drop", nullptr);
         }
       }
     }
