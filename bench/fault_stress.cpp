@@ -364,7 +364,7 @@ RunOutcome run_one_elastic(PipelineFlavor flavor, int p, FaultKind kind, int fau
     // A recovery that needed more generations than the taxonomy predicts
     // (2 for a downgrade kind, 1 for a transient) still converged bit-identically,
     // but the extra same-width retries hide aborts worth reading about.
-    const std::uint64_t expected_generations = expect_downgrade ? 2 : 1;
+    const int expected_generations = expect_downgrade ? 2 : 1;
     if (result.generations > expected_generations) out.detail = with_events(out.detail);
   } catch (const std::exception& e) {
     out.detail = std::string("unrecovered: ") + e.what();

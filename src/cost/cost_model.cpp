@@ -10,6 +10,12 @@ CostModel::CostModel(ModelConfig cfg, HardwareModel hw) : cfg_(cfg), hw_(hw) {
               "invalid model config: " << cfg_.summary());
 }
 
+CostModel::CostModel(ModelConfig cfg, HardwareModel hw, PassTimes measured)
+    : CostModel(cfg, hw) {
+  VOCAB_CHECK(measured.p >= 1, "measured pass times need their shard count");
+  measured_ = measured;
+}
+
 double CostModel::bsh() const {
   return static_cast<double>(cfg_.microbatch) * static_cast<double>(cfg_.seq_len) *
          static_cast<double>(cfg_.hidden);
@@ -92,53 +98,90 @@ double CostModel::output_shard_t_elementwise(OutputAlgo, int p) const {
 
 // ---- durations ----------------------------------------------------------------
 
+namespace {
+
+/// A measured table has no whole vocabulary layers.
+void check_unmeasured(const std::optional<PassTimes>& measured, const char* what) {
+  VOCAB_CHECK(!measured.has_value(),
+              "measured pass times cover the sharded vocabulary passes, not " << what);
+}
+
+/// A measured vocabulary pass of one shard, at the table's shard count.
+double measured_shard_pass(const PassTimes& table, double seconds, int p, const char* what) {
+  VOCAB_CHECK(p == table.p,
+              "pass times were measured with " << table.p << " shards, not " << p);
+  VOCAB_CHECK(seconds > 0.0, "no measured " << what << " pass for this output algorithm");
+  return seconds;
+}
+
+}  // namespace
+
 double CostModel::time_f(int layers) const {
   if (layers <= 0) return 0.0;
+  if (measured_) return static_cast<double>(layers) * measured_->f;
   return static_cast<double>(layers) * hw_.compute_time(transformer_fwd_flops());
 }
 
 double CostModel::time_b_full(int layers) const {
   if (layers <= 0) return 0.0;
+  if (measured_) return static_cast<double>(layers) * measured_->b;
   return static_cast<double>(layers) * hw_.compute_time(transformer_bwd_flops());
 }
 
 double CostModel::time_b_input(int layers) const {
   if (layers <= 0) return 0.0;
+  if (measured_) return static_cast<double>(layers) * measured_->bi;
   return static_cast<double>(layers) * hw_.compute_time(transformer_bwd_input_flops());
 }
 
 double CostModel::time_b_weight(int layers) const {
   if (layers <= 0) return 0.0;
+  if (measured_) return static_cast<double>(layers) * measured_->bw;
   return static_cast<double>(layers) * hw_.compute_time(transformer_bwd_weight_flops());
 }
 
-double CostModel::time_input_fwd_full() const { return hw_.elementwise_time(2.0 * bsh()); }
+double CostModel::time_input_fwd_full() const {
+  check_unmeasured(measured_, "the whole input layer");
+  return hw_.elementwise_time(2.0 * bsh());
+}
 
-double CostModel::time_input_bwd_full() const { return hw_.elementwise_time(bsh()); }
+double CostModel::time_input_bwd_full() const {
+  check_unmeasured(measured_, "the whole input layer");
+  return hw_.elementwise_time(bsh());
+}
 
 double CostModel::time_output_fwd_full() const {
+  check_unmeasured(measured_, "the whole output layer");
   return hw_.compute_time(output_fwd_flops()) +
          hw_.elementwise_time(3.0 * static_cast<double>(cfg_.microbatch) *
                               static_cast<double>(cfg_.seq_len) * static_cast<double>(cfg_.vocab));
 }
 
 double CostModel::time_output_bwd_full() const {
+  check_unmeasured(measured_, "the whole output layer");
   return hw_.compute_time(output_bwd_flops()) +
          hw_.elementwise_time(2.0 * static_cast<double>(cfg_.microbatch) *
                               static_cast<double>(cfg_.seq_len) * static_cast<double>(cfg_.vocab));
 }
 
 double CostModel::time_output_s(OutputAlgo algo, int p) const {
+  if (measured_) {
+    return measured_shard_pass(*measured_, measured_->s[static_cast<std::size_t>(algo)], p, "S");
+  }
   return hw_.compute_time(output_shard_s_flops(algo, p)) +
          hw_.elementwise_time(output_shard_s_elementwise(algo, p));
 }
 
 double CostModel::time_output_t(OutputAlgo algo, int p) const {
+  if (measured_) {
+    return measured_shard_pass(*measured_, measured_->t[static_cast<std::size_t>(algo)], p, "T");
+  }
   return hw_.compute_time(output_shard_t_flops(algo, p)) +
          hw_.elementwise_time(output_shard_t_elementwise(algo, p));
 }
 
 double CostModel::time_input_shard_fwd(int p) const {
+  if (measured_) return measured_shard_pass(*measured_, measured_->input_fwd, p, "i");
   // Constructing the [b, s, h] output tensor is fixed work independent of
   // the shard size (the paper's stated cause of the input layer's poor
   // scaling factor); the gather itself shrinks with p.
@@ -146,6 +189,7 @@ double CostModel::time_input_shard_fwd(int p) const {
 }
 
 double CostModel::time_input_shard_bwd(int p) const {
+  if (measured_) return measured_shard_pass(*measured_, measured_->input_bwd, p, "j");
   return hw_.elementwise_time(bsh() + 2.0 * bsh() / static_cast<double>(p)) * (1.0 / 3.0);
 }
 

@@ -11,15 +11,35 @@
 // and parameter counts 12h^2 / hV / hV respectively. Durations come from
 // the HardwareModel's efficiency curve; the elementwise (memory-bound)
 // portions of the vocabulary passes are costed separately, which is what
-// produces the sub-linear scaling the paper measures in Table 3.
+// produces the sub-linear scaling the paper measures in Table 3. A model
+// built with a PassTimes table takes the compute-pass durations from
+// measurements instead; communication keeps the α-β model either way.
 
+#include <array>
 #include <cstdint>
+#include <optional>
 
 #include "core/output_layer_shard.h"
 #include "cost/hardware.h"
 #include "cost/model_config.h"
 
 namespace vocab {
+
+/// Measured per-microbatch pass durations (seconds) of one machine, in place
+/// of the FLOP × HardwareModel estimates. Transformer passes are per layer;
+/// the vocabulary passes are per shard, measured with `p` shards.
+struct PassTimes {
+  double f = 0.0;   ///< F, per layer
+  double b = 0.0;   ///< B (combined backward), per layer
+  double bi = 0.0;  ///< BI (activation gradients), per layer
+  double bw = 0.0;  ///< BW (weight gradients), per layer
+  /// S and T, indexed by OutputAlgo; 0 for an algorithm not measured.
+  std::array<double, 3> s{};
+  std::array<double, 3> t{};
+  double input_fwd = 0.0;  ///< i
+  double input_bwd = 0.0;  ///< j
+  int p = 0;               ///< shard count of S, T, i and j
+};
 
 /// Per-pass FLOPs, durations, communication times and memory sizes for one
 /// (model, hardware) pair. All "shard" quantities refer to vocabulary
@@ -28,6 +48,9 @@ namespace vocab {
 class CostModel {
  public:
   CostModel(ModelConfig cfg, HardwareModel hw);
+  /// Compute-pass durations from `measured`. Whole (unsharded) vocabulary
+  /// layers are not in the table, so their time_* calls throw.
+  CostModel(ModelConfig cfg, HardwareModel hw, PassTimes measured);
 
   [[nodiscard]] const ModelConfig& config() const { return cfg_; }
   [[nodiscard]] const HardwareModel& hardware() const { return hw_; }
@@ -117,6 +140,7 @@ class CostModel {
 
   ModelConfig cfg_;
   HardwareModel hw_;
+  std::optional<PassTimes> measured_;
 };
 
 }  // namespace vocab

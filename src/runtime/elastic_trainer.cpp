@@ -112,6 +112,8 @@ void ElasticTrainer::worker_main(int rank, transport::ShmArena& arena, int width
     }
     throw;
   }
+  std::snprintf(arena.rank_state(rank).schedule, transport::kShmScheduleBytes, "%s",
+                trainer.selected_schedule().c_str());
   mark_done();
 }
 
@@ -255,6 +257,8 @@ ElasticResult ElasticTrainer::train(std::uint64_t iterations, const BatchFn& bat
       result.losses.push_back(arena->progress().losses[it]);
     }
     next_iteration = completed;
+    result.schedules.clear();
+    for (int r = 0; r < width; ++r) result.schedules.emplace_back(arena->rank_state(r).schedule);
     if (!killed && !aborted && !partitioned) continue;  // clean generation (or finished)
 
     // The retry of iteration `completed` must run clean: the one-shot fired

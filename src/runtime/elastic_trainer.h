@@ -109,6 +109,9 @@ struct ElasticResult {
   int final_width = 0;
   std::vector<ElasticGeneration> history;  ///< one entry per generation
   std::vector<std::string> events;         ///< human-readable log
+  /// Per rank of the last generation: the schedule its trainer ran last
+  /// (what Auto picked), "" for a rank that did not finish.
+  std::vector<std::string> schedules;
 };
 
 /// Coordinator for multi-process training with fault tolerance. Construct

@@ -1,6 +1,7 @@
 #include "runtime/pipeline_trainer.h"
 
 #include <algorithm>
+#include <chrono>
 #include <thread>
 #include <utility>
 
@@ -43,6 +44,59 @@ std::string act_tag(int stage, int mb) {
 
 std::string grad_tag(int stage, int mb) {
   return "grad:s" + std::to_string(stage) + ":mb" + std::to_string(mb);
+}
+
+/// The cost model's view of a GPT configuration run as `m` microbatches.
+ModelConfig cost_config(const GptConfig& c, int m) {
+  ModelConfig mc;
+  mc.name = c.tie_embeddings ? "gpt-tied" : "gpt";
+  mc.num_layers = c.num_layers;
+  mc.attention_heads = c.heads;
+  mc.hidden = c.hidden;
+  mc.seq_len = c.seq_len;
+  mc.vocab = c.vocab;
+  mc.microbatch = 1;
+  mc.num_microbatches = m;
+  return mc;
+}
+
+/// Auto's measured table from one profiled iteration: per pass kind, the
+/// median over every device's ops of their net durations (`op_seconds`, by
+/// op id); transformer passes are divided by the layers per stage. A
+/// backward kind the schedule lacks comes from the model's FLOP split:
+/// BI and BW from B, or B = BI + BW.
+PassTimes profiled_pass_times(const CostModel& cm, const PipelineSchedule& sched,
+                              const Tensor& op_seconds, OutputAlgo algo) {
+  std::map<OpKind, std::vector<double>> by_kind;
+  for (const Op& op : sched.ops) {
+    if (op.stream == Stream::Compute && op.kind != OpKind::Sync) {
+      by_kind[op.kind].push_back(op_seconds.data()[op.id]);
+    }
+  }
+  const auto median = [&by_kind](OpKind kind) {
+    std::vector<double>& v = by_kind[kind];
+    if (v.empty()) return 0.0;
+    std::sort(v.begin(), v.end());
+    const std::size_t n = v.size();
+    return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+  };
+  const double layers = cm.config().num_layers / sched.num_devices;
+  PassTimes t;
+  t.p = sched.num_devices;
+  t.f = median(OpKind::Forward) / layers;
+  t.b = median(OpKind::BackwardFull) / layers;
+  t.bi = median(OpKind::BackwardInput) / layers;
+  t.bw = median(OpKind::BackwardWeight) / layers;
+  if (t.b == 0.0) t.b = t.bi + t.bw;
+  if (t.bi == 0.0) {
+    t.bi = t.b * cm.transformer_bwd_input_flops() / cm.transformer_bwd_flops();
+    t.bw = t.b * cm.transformer_bwd_weight_flops() / cm.transformer_bwd_flops();
+  }
+  t.s[static_cast<std::size_t>(algo)] = median(OpKind::OutputS);
+  t.t[static_cast<std::size_t>(algo)] = median(OpKind::OutputT);
+  t.input_fwd = median(OpKind::InputFwd);
+  t.input_bwd = median(OpKind::InputBwd);
+  return t;
 }
 
 }  // namespace
@@ -191,16 +245,10 @@ ScheduleExecutor& PipelineTrainer::executor_for(int m, bool with_clip) {
   const auto it = executors_.find(key);
   if (it != executors_.end()) return *it->second;
 
-  ModelConfig mc;
-  mc.name = config_.tie_embeddings ? "gpt-tied" : "gpt";
-  mc.num_layers = config_.num_layers;
-  mc.attention_heads = config_.heads;
-  mc.hidden = config_.hidden;
-  mc.seq_len = config_.seq_len;
-  mc.vocab = config_.vocab;
-  mc.microbatch = 1;
-  mc.num_microbatches = m;
-  const CostModel cm(mc, HardwareModel{});
+  // Only Auto ever measures; the fixed flavors keep A100-costed layouts.
+  const ModelConfig mc = cost_config(config_, m);
+  const CostModel cm = measured_ ? CostModel(mc, HardwareModel{}, *measured_)
+                                 : CostModel(mc, HardwareModel{});
 
   PipelineSchedule sched;
   switch (flavor_) {
@@ -229,7 +277,9 @@ ScheduleExecutor& PipelineTrainer::executor_for(int m, bool with_clip) {
     case PipelineFlavor::Auto: {
       // Cost-model-driven search over the runtime-executable families,
       // restricted to this trainer's output algorithm so the device layout
-      // (barrier count, S/T structure) matches the constructed shards.
+      // (barrier count, S/T structure) matches the constructed shards. It
+      // ranks by A100 constants until the profiled iteration has measured
+      // this machine's pass times (run_iteration).
       search::SearchRequest req;
       req.p = p_;
       req.algo = algo_;
@@ -505,6 +555,19 @@ void PipelineTrainer::complete_clip_device(int d) {
   cs.computed = true;
 }
 
+void PipelineTrainer::share_pass_profile(int d) {
+  // Each rank fills only its own ops into a zero vector, so the Sum
+  // all-reduce is exact in fp whatever the reduction order (x + 0 + ... +
+  // 0): every rank holds the same bytes and ranks the same way.
+  const std::vector<double>& seconds = last_executor_->last_stats().op_seconds;
+  Tensor profile({static_cast<std::int64_t>(seconds.size())});
+  for (const int id : last_executor_->device_sequence(d)) {
+    profile.data()[id] = static_cast<float>(seconds[static_cast<std::size_t>(id)]);
+  }
+  group_->all_reduce(d, profile, ReduceOp::Sum, "passProfile");
+  pass_profile_[static_cast<std::size_t>(d)] = std::move(profile);
+}
+
 // ---------------------------------------------------------------------------
 // Op dispatch.
 // ---------------------------------------------------------------------------
@@ -530,6 +593,7 @@ struct PipelineTrainer::ScheduledIteration final : OpRunner {
     std::map<int, Tensor> bcast_grad;                // mb -> jBC buffer, post to completion
     std::map<int, bool> output_done;                 // all phases + barriers executed
     std::map<int, bool> grad_taken;                  // grad_x consumed by B(last stage)
+    double receive_wait = 0.0;                       // seconds blocked in P2P receives
   };
   std::vector<DeviceState> state;
 
@@ -544,6 +608,20 @@ struct PipelineTrainer::ScheduledIteration final : OpRunner {
   [[nodiscard]] int stage_of(const Op& op) const {
     if (tr.flavor_ != PipelineFlavor::VHalf) return op.device;
     return op.chunk == 0 ? op.device : 2 * tr.p_ - 1 - op.device;
+  }
+
+  /// Take device d's P2P message `tag`, charging the wait to the device's
+  /// receive clock (receive_wait_seconds), not to the op.
+  Tensor receive(int d, const std::string& tag) {
+    const auto t0 = std::chrono::steady_clock::now();
+    Tensor t = tr.mail_[static_cast<std::size_t>(d)]->recv_tag(tag);
+    state[static_cast<std::size_t>(d)].receive_wait +=
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    return t;
+  }
+
+  [[nodiscard]] double receive_wait_seconds(int device) const override {
+    return state[static_cast<std::size_t>(device)].receive_wait;
   }
 
   /// Release the output shard's state once the phases/barriers are done AND
@@ -576,7 +654,7 @@ struct PipelineTrainer::ScheduledIteration final : OpRunner {
       x = std::move(it->second);
       ds.act.erase(it);
     } else {
-      x = tr.mail_[static_cast<std::size_t>(d)]->recv_tag(act_tag(s, mb));
+      x = receive(d, act_tag(s, mb));
     }
 
     Tensor y = tr.stack_of_stage(s).forward(mb, x);
@@ -630,7 +708,7 @@ struct PipelineTrainer::ScheduledIteration final : OpRunner {
         grad_out = std::move(it->second);
         ds.grad.erase(it);
       } else {
-        grad_out = tr.mail_[static_cast<std::size_t>(d)]->recv_tag(grad_tag(s, mb));
+        grad_out = receive(d, grad_tag(s, mb));
       }
       grad_in = stack_backward(grad_out);
     }
@@ -859,8 +937,12 @@ struct PipelineTrainer::ScheduledIteration final : OpRunner {
   }
 
   /// The device's optimizer step, on its own thread once its last op (the
-  /// clip all-reduce, when clipping) has run.
-  void finish_lane(int device) override { tr.optimizer_step_device(device, opt); }
+  /// clip all-reduce, when clipping) has run; Auto's profiled iteration
+  /// first agrees on the measured durations.
+  void finish_lane(int device) override {
+    if (tr.profiling_) tr.share_pass_profile(device);
+    tr.optimizer_step_device(device, opt);
+  }
 };
 
 // ---------------------------------------------------------------------------
@@ -1054,6 +1136,14 @@ float PipelineTrainer::run_iteration(const std::vector<Sample>& microbatches,
   clip_max_norm_ = opt.max_grad_norm;
   for (auto& cs : clip_state_) cs = ClipState{};
   mp_iter_overflow_ = false;
+  // Auto profiles its first warm iteration, the second (the first pays
+  // first-touch costs), and re-ranks on the measurements from the third on:
+  // after the profiled iteration, the executors of the A100-costed pick go,
+  // and executor_for re-runs the search on measured_. Every lane-mode worker
+  // counts iterations identically, so all profile the same one.
+  if (profiling_) executors_.clear();
+  profiling_ = flavor_ == PipelineFlavor::Auto && iterations_ == 1;
+  if (profiling_) pass_profile_.assign(static_cast<std::size_t>(p_), Tensor());
 
   const int m = static_cast<int>(microbatches.size());
   // Mixed precision multiplies the loss-gradient scale by S; the optimizer
@@ -1111,6 +1201,15 @@ float PipelineTrainer::run_iteration(const std::vector<Sample>& microbatches,
   // The scaler reacts once per iteration, after every device agreed on the
   // overflow verdict (device 0's step recorded it).
   if (mp_enabled_) scaler_.update(mp_iter_overflow_);
+
+  if (profiling_) {
+    measured_ = profiled_pass_times(CostModel(cost_config(config_, m), HardwareModel{}),
+                                    executor.schedule(),
+                                    pass_profile_[static_cast<std::size_t>(std::max(lane, 0))],
+                                    algo_);
+    pass_profile_.clear();
+  }
+  ++iterations_;
 
   double total = 0.0;
   for (const float l : iteration.losses) total += l;

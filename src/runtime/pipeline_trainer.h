@@ -26,6 +26,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -35,6 +36,7 @@
 #include "fault/watchdog.h"
 #include "core/input_layer_shard.h"
 #include "core/output_layer_shard.h"
+#include "cost/cost_model.h"
 #include "guard/nan_fence.h"
 #include "model/gpt.h"
 #include "model/transformer.h"
@@ -56,7 +58,7 @@ enum class PipelineFlavor {
   OneFOneBVocab, ///< 1F1B + Vocabulary Parallelism schedule (the paper's main result)
   VHalf,         ///< V-Half + Vocabulary Parallelism schedule (Vocab-1)
   ZbVocab,       ///< zero-bubble family: BI/BW split backward + Vocabulary Parallelism
-  Auto,          ///< cost-model-driven schedule search picks the executed schedule
+  Auto,          ///< schedule search over pass times measured on this machine
 };
 
 [[nodiscard]] const char* to_string(PipelineFlavor flavor);
@@ -157,6 +159,13 @@ class PipelineTrainer {
   /// picked); empty before the first iteration.
   [[nodiscard]] const std::string& selected_schedule() const { return selected_schedule_; }
 
+  /// Auto: the pass durations its second iteration measured, which every
+  /// later iteration's schedule search ranks by (the first two run the
+  /// A100-costed pick); empty before then and for the other flavors.
+  [[nodiscard]] const std::optional<PassTimes>& measured_pass_times() const {
+    return measured_;
+  }
+
   /// Install a fault plan (each executor op dispatch consults it). The
   /// caller drives FaultInjector::begin_iteration.
   void set_fault_injector(std::shared_ptr<FaultInjector> injector);
@@ -253,6 +262,10 @@ class PipelineTrainer {
   void compute_clip_device(int d);
   void post_clip_device(int d);
   void complete_clip_device(int d);
+  /// Auto's profiled iteration, on device d's thread in its end-of-lane
+  /// hook: all-reduce every rank's net op durations into pass_profile_[d],
+  /// so every rank (and every lane-mode process) derives the same table.
+  void share_pass_profile(int d);
   /// Fault-corruption + NaN-fence point for a tensor device `d` just
   /// produced (applies any armed data fault first, then fences).
   void guard_boundary(int d, Tensor& t, const char* what);
@@ -284,6 +297,12 @@ class PipelineTrainer {
   ScheduleExecutor* last_executor_ = nullptr;
   ScheduleTuning tuning_;
   std::string selected_schedule_;
+  int iterations_ = 0;  // completed train iterations
+
+  // ---- Auto's measured schedule search ----
+  bool profiling_ = false;  // the running (between iterations: the last) iteration profiles
+  std::vector<Tensor> pass_profile_;  // per device: op id -> agreed net seconds
+  std::optional<PassTimes> measured_;
   Tensor pos_embedding_;       // whole, on device 0 (paper §6.4)
   Tensor pos_embedding_grad_;
   ParamOptimizer pos_opt_;

@@ -251,12 +251,17 @@ void ScheduleExecutor::run_device(OpRunner& runner, int device, AbortToken& toke
     }
     return runner.ready(op);
   };
+  // A compute op is busy for its run time minus its P2P receive waits.
   const auto run = [&](std::size_t q) {
     const Op& op = op_at(q);
     if (op.stream == Stream::Compute) {
+      const double received0 = runner.receive_wait_seconds(device);
       const auto op_t0 = Clock::now();
       runner.run_op(op);
-      compute += seconds_since(op_t0);
+      const double elapsed = seconds_since(op_t0);
+      const double net = elapsed - (runner.receive_wait_seconds(device) - received0);
+      stats_.op_seconds[static_cast<std::size_t>(seq[q])] = net;
+      compute += net;
     } else {
       runner.run_op(op);
     }
@@ -387,6 +392,7 @@ void ScheduleExecutor::execute(OpRunner& runner, int only_device) {
   using Outcome = LaneResult::Outcome;
   const int p = schedule_.num_devices;
   stats_.wall_seconds = 0.0;
+  stats_.op_seconds.assign(schedule_.ops.size(), 0.0);
   stats_.compute_seconds.assign(static_cast<std::size_t>(p), 0.0);
   stats_.collective_wait_seconds.assign(static_cast<std::size_t>(p), 0.0);
   stats_.early_passes.assign(static_cast<std::size_t>(p), 0);

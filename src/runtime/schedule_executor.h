@@ -116,6 +116,11 @@ class OpRunner {
   /// executor's to track. Never blocks. Consulted only when the runner
   /// overlaps collectives; the default, false, keeps every op at its place.
   [[nodiscard]] virtual bool ready(const Op& /*op*/) { return false; }
+  /// Seconds `device`'s ops have spent so far blocked receiving another
+  /// device's P2P messages (activations and gradients). The executor reads
+  /// it around each op and books the difference as idle, not as the op's
+  /// busy time. Called on the device's thread.
+  [[nodiscard]] virtual double receive_wait_seconds(int /*device*/) const { return 0.0; }
   /// End-of-lane hook, invoked on `device`'s thread after its last op. It
   /// runs after the watchdog stops monitoring the lane and outside the op
   /// timing, but inside the failure protocol: a throw here aborts the run
@@ -128,9 +133,12 @@ class OpRunner {
 struct ExecutorStats {
   /// From the start of the run until the last lane's last op returned.
   double wall_seconds = 0.0;
-  /// Per device: seconds spent inside compute-stream ops (transformer and
-  /// vocabulary passes). P2P receives inside those ops count as busy;
-  /// collective waits never do.
+  /// Per op id: seconds a compute-stream op (transformer or vocabulary
+  /// pass) ran, net of the time it was blocked receiving P2P messages. 0
+  /// for collectives and for the ops of lanes this process did not run.
+  std::vector<double> op_seconds;
+  /// Per device: the sum of its ops' op_seconds. Waiting for another device
+  /// never counts as busy: neither P2P receives nor collective waits.
   std::vector<double> compute_seconds;
   /// Per device: seconds spent completing collectives — waiting for the
   /// other members and taking the result — plus, where posts block, the

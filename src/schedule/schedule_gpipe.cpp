@@ -204,8 +204,11 @@ PipelineSchedule build_gpipe_vocab(const CostModel& cm, int p, OutputAlgo algo,
     }
   }
 
-  // Backward phase, LIFO; B(mb, p-1) gated on the gradient barrier.
-  for (int mb = m - 1; mb >= 0; --mb) {
+  // Backward phase in microbatch order, B(mb, p-1) gated on the gradient
+  // barrier. Every device then accumulates its weight gradients in the same
+  // order as 1F1B-vocab and the zero-bubble family, so all of them compute
+  // the same bits.
+  for (int mb = 0; mb < m; ++mb) {
     for (int d = p - 1; d >= 0; --d) {
       Op op;
       op.device = d;
@@ -221,7 +224,7 @@ PipelineSchedule build_gpipe_vocab(const CostModel& cm, int p, OutputAlgo algo,
       // The backward phase begins only after the last microbatches' S/T
       // slots (mb + p + ...), hence the m + p + 3 base.
       b_ids[static_cast<std::size_t>(mb)][static_cast<std::size_t>(d)] =
-          b.add(std::move(op), static_cast<double>(m + p + 3 + (m - 1 - mb)));
+          b.add(std::move(op), static_cast<double>(m + p + 3 + mb));
     }
     // Input backward rides behind B(mb, 0).
     std::vector<std::vector<int>> ibb_deps(static_cast<std::size_t>(p),
@@ -229,7 +232,7 @@ PipelineSchedule build_gpipe_vocab(const CostModel& cm, int p, OutputAlgo algo,
     const std::vector<int> ibb =
         b.add_collective(all_devices, Stream::CommAlt, cm.time_x_broadcast(p), mb,
                          "jBC" + std::to_string(mb), ibb_deps,
-                         m + 2 * p + 3 + (m - 1 - mb) + 0.5);
+                         m + 2 * p + 3 + mb + 0.5);
     for (int d = 0; d < p; ++d) {
       Op op;
       op.device = d;
@@ -240,7 +243,7 @@ PipelineSchedule build_gpipe_vocab(const CostModel& cm, int p, OutputAlgo algo,
       op.deps.push_back(ibb[static_cast<std::size_t>(d)]);
       // A pipeline-depth behind its own B wave: jBC(mb) completes only when
       // B(mb, 0) retires, so an earlier slot would serialize the B waves.
-      b.add(std::move(op), m + 2 * p + 3 + (m - 1 - mb) + 0.8);
+      b.add(std::move(op), m + 2 * p + 3 + mb + 0.8);
     }
   }
 

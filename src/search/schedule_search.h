@@ -6,11 +6,13 @@
 // zero-bubble family (zb-vocab with its controllable-memory w_delay dial),
 // GPipe-vocab, and optionally the multi-chunk V-Half and interlaced
 // baselines — for a given (p, m, V) model configuration, scores every
-// candidate with the discrete-event simulator over the calibrated cost
-// model, filters by a peak-memory cap, certifies the survivors through the
-// static verifier AND the bytecode translation-validation pipeline, and
-// ranks them by predicted makespan. The winner is what
-// `PipelineFlavor::Auto` executes and what `schedule_lint --search` prints.
+// candidate with the discrete-event simulator over the given cost model
+// (A100 constants, or pass times measured on this machine), filters by a
+// peak-memory cap, certifies the survivors through the static verifier AND
+// the bytecode translation-validation pipeline, and ranks them by predicted
+// makespan. The winner is what `PipelineFlavor::Auto` executes (over the
+// measured model from its third iteration) and what `schedule_lint
+// --search` prints.
 //
 // Objective: minimize predicted iteration makespan subject to
 // max_d peak_bytes(d) <= memory_cap. Certification is a hard constraint —

@@ -42,6 +42,7 @@ inline constexpr std::size_t kShmTagBytes = 160;
 inline constexpr std::size_t kShmFailureBytes = 1024;
 inline constexpr std::size_t kShmAbortWhatBytes = 2048;
 inline constexpr std::size_t kShmProgressSlots = 4096;
+inline constexpr std::size_t kShmScheduleBytes = 64;
 
 /// Minimal test-and-set spinlock that lives in shared memory. Callers must
 /// bound their spin (try_lock + their own backoff/deadline); lock() is only
@@ -83,6 +84,10 @@ struct alignas(kShmAlign) ShmRankState {
   /// publishes the bound port here; peers poll until nonzero, then connect.
   /// 0 = not listening (shm-only runs never touch it).
   std::atomic<std::uint32_t> tcp_port{0};
+  /// Name of the schedule the rank's trainer ran last, written once by a
+  /// rank that finishes its iterations and read by the coordinator after the
+  /// rank exited (elastic workers; "" otherwise).
+  char schedule[kShmScheduleBytes] = {};
 };
 
 /// Coordinator-visible training progress: rank 0 writes losses[i] and then

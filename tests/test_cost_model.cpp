@@ -31,6 +31,53 @@ TEST(CostModel, TransformerFlopsMatchFormula) {
                    cm.transformer_bwd_flops());
 }
 
+// A measured table replaces the FLOP estimates of every compute pass:
+// transformer passes scale with the layer count, the vocabulary passes are
+// the table's own (at its shard count and for its algorithm), and the
+// collectives stay on the α-β model.
+TEST(CostModel, MeasuredTableReplacesFlopEstimates) {
+  const CostModel flops = make_cm();
+  PassTimes table;
+  table.f = 1.5e-3;
+  table.b = 3.25e-3;
+  table.bi = 1.75e-3;
+  table.bw = 1.5e-3;
+  table.s[static_cast<std::size_t>(OutputAlgo::Alg2)] = 2.5e-3;
+  table.t[static_cast<std::size_t>(OutputAlgo::Alg2)] = 1.25e-3;
+  table.input_fwd = 0.5e-3;
+  table.input_bwd = 0.25e-3;
+  table.p = 8;
+  const CostModel cm(flops.config(), HardwareModel{}, table);
+
+  EXPECT_EQ(cm.time_f(1), table.f);
+  EXPECT_EQ(cm.time_f(4), 4.0 * table.f);
+  EXPECT_EQ(cm.time_b_full(3), 3.0 * table.b);
+  EXPECT_EQ(cm.time_b_input(2), 2.0 * table.bi);
+  EXPECT_EQ(cm.time_b_weight(5), 5.0 * table.bw);
+  EXPECT_EQ(cm.time_f(0), 0.0);
+  EXPECT_EQ(cm.time_output_s(OutputAlgo::Alg2, 8), 2.5e-3);
+  EXPECT_EQ(cm.time_output_t(OutputAlgo::Alg2, 8), 1.25e-3);
+  EXPECT_EQ(cm.time_input_shard_fwd(8), 0.5e-3);
+  EXPECT_EQ(cm.time_input_shard_bwd(8), 0.25e-3);
+
+  for (const int p : {2, 8}) {
+    EXPECT_EQ(cm.time_x_broadcast(p), flops.time_x_broadcast(p));
+    EXPECT_EQ(cm.time_stats_allreduce(p), flops.time_stats_allreduce(p));
+    EXPECT_EQ(cm.time_gradx_allreduce(p), flops.time_gradx_allreduce(p));
+    EXPECT_EQ(cm.time_input_allreduce(p), flops.time_input_allreduce(p));
+  }
+  EXPECT_EQ(cm.time_p2p_activation(0, 1), flops.time_p2p_activation(0, 1));
+
+  // Measured with 8 shards and Alg2 only; no whole vocabulary layers.
+  EXPECT_THROW((void)cm.time_output_s(OutputAlgo::Alg2, 4), CheckError);
+  EXPECT_THROW((void)cm.time_input_shard_fwd(4), CheckError);
+  EXPECT_THROW((void)cm.time_output_t(OutputAlgo::Alg1, 8), CheckError);
+  EXPECT_THROW((void)cm.time_output_fwd_full(), CheckError);
+  EXPECT_THROW((void)cm.time_input_bwd_full(), CheckError);
+  table.p = 0;
+  EXPECT_THROW(CostModel(flops.config(), HardwareModel{}, table), CheckError);
+}
+
 TEST(CostModel, VocabLayerFlopsMatchFormula) {
   const CostModel cm = make_cm();
   const double b = 1, s = 2048, h = 3072, v = 262144;

@@ -8,6 +8,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -26,6 +29,7 @@
 #include "schedule/schedule_gpipe.h"
 #include "schedule/schedule_vhalf.h"
 #include "schedule/schedule_zb.h"
+#include "search/schedule_search.h"
 #include "tensor/tensor_ops.h"
 
 namespace vocab {
@@ -409,6 +413,157 @@ TEST(FillRule, UnconsumedCollectivesCompleteBeforeTheLaneEnd) {
   }
   EXPECT_EQ(pipe.comm_in_flight(), 0u);
   EXPECT_TRUE(pipe.device_group()->waiting_ranks().empty());
+}
+
+// ---------------------------------------------------------------------------
+// Busy time: waiting for another device is idle, never busy.
+// ---------------------------------------------------------------------------
+
+// A 50 ms straggler before device 0's first forward holds device 1's first
+// forward in its activation receive. Device 1's idle time grows by the
+// delay: the receive wait is not busy time.
+TEST(BusyTime, ReceiveWaitsCountAsIdle) {
+  const GptConfig cfg = exec_config(/*tied=*/false);
+  SyntheticCorpus corpus(cfg.vocab, cfg.seq_len, 45);
+  PipelineTrainer pipe(GptWeights::init(cfg, 44), 2, OutputAlgo::Alg1,
+                       PipelineFlavor::Baseline1F1B);
+  FaultSpec delay;
+  delay.kind = FaultKind::DelayOp;
+  delay.iteration = 4;
+  delay.device = 0;
+  delay.op_index = 0;
+  delay.delay = std::chrono::milliseconds(50);
+  auto injector = std::make_shared<FaultInjector>(FaultPlan::single(delay));
+  pipe.set_fault_injector(injector);
+  const auto idle_seconds = [&](int it) {
+    injector->begin_iteration(static_cast<std::uint64_t>(it));
+    pipe.train_iteration(microbatches(corpus, it, 4), 0.1f);
+    const ExecutorStats& stats = *pipe.last_executor_stats();
+    return stats.idle_fraction(1) * stats.wall_seconds;
+  };
+  idle_seconds(0);  // first-touch costs
+  // The quietest of a few clean iterations, so a host hiccup in one of
+  // them cannot hide the delay.
+  double clean = idle_seconds(1);
+  for (int it = 2; it < 4; ++it) clean = std::min(clean, idle_seconds(it));
+  const double delayed = idle_seconds(4);
+  EXPECT_GE(delayed - clean, 0.045) << "clean " << clean << " s, delayed " << delayed << " s";
+}
+
+// ---------------------------------------------------------------------------
+// Bitwise equality between flavors of one algorithm.
+// ---------------------------------------------------------------------------
+
+std::uint32_t float_bits(float f) {
+  std::uint32_t u = 0;
+  std::memcpy(&u, &f, sizeof u);
+  return u;
+}
+
+void expect_same_bytes(const Tensor& a, const Tensor& b, const std::string& what) {
+  ASSERT_EQ(a.shape(), b.shape()) << what;
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), static_cast<std::size_t>(a.numel()) * sizeof(float)),
+            0)
+      << what;
+}
+
+void expect_same_weights(const GptWeights& a, const GptWeights& b) {
+  expect_same_bytes(a.input_embedding, b.input_embedding, "input embedding");
+  expect_same_bytes(a.pos_embedding, b.pos_embedding, "position embedding");
+  expect_same_bytes(a.output_weight, b.output_weight, "output weight");
+  ASSERT_EQ(a.layers.size(), b.layers.size());
+  for (std::size_t l = 0; l < a.layers.size(); ++l) {
+    const LayerWeights& x = a.layers[l];
+    const LayerWeights& y = b.layers[l];
+    const std::string at = " of layer " + std::to_string(l);
+    expect_same_bytes(x.ln1_g, y.ln1_g, "ln1_g" + at);
+    expect_same_bytes(x.ln1_b, y.ln1_b, "ln1_b" + at);
+    expect_same_bytes(x.wq, y.wq, "wq" + at);
+    expect_same_bytes(x.wk, y.wk, "wk" + at);
+    expect_same_bytes(x.wv, y.wv, "wv" + at);
+    expect_same_bytes(x.wo, y.wo, "wo" + at);
+    expect_same_bytes(x.ln2_g, y.ln2_g, "ln2_g" + at);
+    expect_same_bytes(x.ln2_b, y.ln2_b, "ln2_b" + at);
+    expect_same_bytes(x.w1, y.w1, "w1" + at);
+    expect_same_bytes(x.b1, y.b1, "b1" + at);
+    expect_same_bytes(x.w2, y.w2, "w2" + at);
+    expect_same_bytes(x.b2, y.b2, "b2" + at);
+  }
+}
+
+// GPipe-vocab runs its backward in microbatch order, so every device
+// accumulates its weight gradients in 1F1B-vocab's order: same loss bits,
+// same weight bytes.
+TEST(BitIdentity, GpipeMatchesOneFOneBVocab) {
+  const OptimizerConfig opt = OptimizerConfig::adam(3e-3f);
+  for (const int p : {2, 4}) {
+    for (const OutputAlgo algo : {OutputAlgo::Alg1, OutputAlgo::Alg2}) {
+      for (const bool tied : {false, true}) {
+        const GptConfig cfg = exec_config(tied);
+        const GptWeights weights = GptWeights::init(cfg, 47);
+        SyntheticCorpus corpus(cfg.vocab, cfg.seq_len, 48);
+        PipelineTrainer gpipe(weights, p, algo, PipelineFlavor::Gpipe);
+        PipelineTrainer onef(weights, p, algo, PipelineFlavor::OneFOneBVocab);
+        const std::string where = "p=" + std::to_string(p) + " " + to_string(algo) +
+                                  (tied ? " tied" : " untied");
+        for (int it = 0; it < 3; ++it) {
+          const auto mbs = microbatches(corpus, it, 2 * p);
+          EXPECT_EQ(float_bits(gpipe.train_iteration(mbs, opt)),
+                    float_bits(onef.train_iteration(mbs, opt)))
+              << where << " iteration " << it;
+        }
+        SCOPED_TRACE(where);
+        expect_same_weights(gpipe.export_weights(), onef.export_weights());
+      }
+    }
+  }
+}
+
+// Auto runs the A100-costed pick for two iterations, measures the second
+// and from the third on runs the winner of the search over the measured
+// table. Whichever schedule it runs computes 1F1B-vocab's bits.
+TEST(AutoSearch, SwitchesToTheMeasuredWinnerWithTheSameBits) {
+  constexpr int kP = 4;
+  constexpr int kM = 8;
+  const OptimizerConfig opt = OptimizerConfig::adam(3e-3f);
+  for (const OutputAlgo algo : {OutputAlgo::Alg1, OutputAlgo::Alg2}) {
+    SCOPED_TRACE(to_string(algo));
+    const GptConfig cfg = exec_config(/*tied=*/false);
+    const GptWeights weights = GptWeights::init(cfg, 49);
+    SyntheticCorpus corpus(cfg.vocab, cfg.seq_len, 50);
+    PipelineTrainer autot(weights, kP, algo, PipelineFlavor::Auto);
+    PipelineTrainer onef(weights, kP, algo, PipelineFlavor::OneFOneBVocab);
+    search::SearchRequest req;
+    req.p = kP;
+    req.algo = algo;
+    req.runtime_only = true;
+    req.include_multi_chunk = false;
+    const std::string static_pick =
+        search::search_schedules(exec_cost_model(kM), req).best()->name;
+    for (int it = 0; it < 5; ++it) {
+      const auto mbs = microbatches(corpus, it, kM);
+      EXPECT_EQ(float_bits(autot.train_iteration(mbs, opt)),
+                float_bits(onef.train_iteration(mbs, opt)))
+          << "iteration " << it;
+      EXPECT_EQ(autot.measured_pass_times().has_value(), it >= 1) << "iteration " << it;
+      if (it < 2) {
+        EXPECT_EQ(autot.selected_schedule(), static_pick) << "iteration " << it;
+        continue;
+      }
+      const PassTimes& measured = *autot.measured_pass_times();
+      EXPECT_EQ(measured.p, kP);
+      for (const double t : {measured.f, measured.b, measured.bi, measured.bw,
+                             measured.s[static_cast<std::size_t>(algo)],
+                             measured.t[static_cast<std::size_t>(algo)], measured.input_fwd,
+                             measured.input_bwd}) {
+        EXPECT_GT(t, 0.0);
+      }
+      const CostModel cm(exec_cost_model(kM).config(), HardwareModel{}, measured);
+      EXPECT_EQ(autot.selected_schedule(), search::search_schedules(cm, req).best()->name)
+          << "iteration " << it;
+    }
+    expect_same_weights(autot.export_weights(), onef.export_weights());
+  }
 }
 
 // ---------------------------------------------------------------------------

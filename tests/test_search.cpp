@@ -1,6 +1,6 @@
 // Tests for the zero-bubble schedule family (src/schedule/schedule_zb) and
-// the cost-model-driven schedule search (src/search), plus the kernel-bench
-// calibration the search's cost model can be refit from (src/cost).
+// the cost-model-driven schedule search (src/search), including the search
+// over measured pass times that PipelineFlavor::Auto runs.
 //
 // Certification here means the full PR-7 pipeline: the static verifier finds
 // no errors AND the schedule compiles to per-device bytecode whose
@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -17,7 +18,6 @@
 
 #include "analysis/verifier.h"
 #include "common/error.h"
-#include "cost/calibration.h"
 #include "cost/cost_model.h"
 #include "program/compiler.h"
 #include "program/program_verifier.h"
@@ -260,129 +260,95 @@ TEST(ScheduleSearch, ZbBeatsBaselineOnPredictedBubbleAtEqualPeak) {
 }
 
 // ---------------------------------------------------------------------------
-// Calibration from a BENCH_kernels.json snapshot.
+// Search over measured pass times (what PipelineFlavor::Auto ranks by).
 // ---------------------------------------------------------------------------
 
-// A miniature of the real snapshot: three parallel GEMM sizes, a serial
-// variant that must be excluded from the fit, and a softmax bandwidth sweep.
-// Rows end with the SIMD level, a string field the parser skips.
-constexpr const char* kSnapshot = R"([
-  {"name": "BM_MatmulNT/64/real_time", "shape": "[64,64]x[64,64]^T", "ns_per_iter": 14954, "gflops": 35.0592, "gbps": 0, "threads": 1, "simd": "avx512"},
-  {"name": "BM_MatmulNT/128/real_time", "shape": "[128,128]x[128,128]^T", "ns_per_iter": 96499, "gflops": 43.4647, "gbps": 0, "threads": 1, "simd": "avx512"},
-  {"name": "BM_MatmulNT/256/real_time", "shape": "[256,256]x[256,256]^T", "ns_per_iter": 1023380, "gflops": 52.7879, "gbps": 0, "threads": 1, "simd": "avx512"},
-  {"name": "BM_MatmulNT_LogitsSeedSerial/iterations:1/real_time", "shape": "[2048,1024]x[8192,1024]^T", "ns_per_iter": 30086091811, "gflops": 1.14205, "gbps": 0, "threads": 1, "simd": "avx512"},
-  {"name": "BM_SafeSoftmax/1024", "shape": "[64,1024]", "ns_per_iter": 70871, "gflops": 0, "gbps": 7.6321, "threads": 1, "simd": "avx512"},
-  {"name": "BM_SafeSoftmax/8192", "shape": "[64,8192]", "ns_per_iter": 753846, "gflops": 0, "gbps": 5.71227, "threads": 1, "simd": "avx512"},
-  {"name": "BM_SafeSoftmax/32768", "shape": "[64,32768]", "ns_per_iter": 3633912, "gflops": 0, "gbps": 4.79434, "threads": 1, "simd": "avx512"}
-])";
-
-TEST(Calibration, ParsesSnapshotRows) {
-  const auto samples = parse_kernel_samples(kSnapshot);
-  ASSERT_EQ(samples.size(), 7u);
-  EXPECT_EQ(samples[0].name, "BM_MatmulNT/64/real_time");
-  EXPECT_EQ(samples[0].shape, "[64,64]x[64,64]^T");
-  EXPECT_DOUBLE_EQ(samples[0].ns_per_iter, 14954.0);
-  EXPECT_DOUBLE_EQ(samples[1].gflops, 43.4647);
-  EXPECT_DOUBLE_EQ(samples[4].gbps, 7.6321);
-  EXPECT_EQ(samples[6].threads, 1);
+// The benchmark's two workloads: p=4, m=8, L=8, two heads, s=32, untied.
+ModelConfig workload_config(std::int64_t hidden, std::int64_t vocab) {
+  ModelConfig mc;
+  mc.name = "gpt";
+  mc.num_layers = 8;
+  mc.attention_heads = 2;
+  mc.hidden = hidden;
+  mc.seq_len = 32;
+  mc.vocab = vocab;
+  mc.microbatch = 1;
+  mc.num_microbatches = 8;
+  return mc;
 }
 
-TEST(Calibration, RejectsMalformedSnapshot) {
-  EXPECT_THROW(parse_kernel_samples("not json"), CheckError);
-  EXPECT_THROW(parse_kernel_samples("[{\"name\": \"x\""), CheckError);
-  EXPECT_THROW(load_kernel_samples("/nonexistent/BENCH_kernels.json"), CheckError);
-  EXPECT_TRUE(parse_kernel_samples("[]").empty());
+// A table Auto measured at its second iteration, in the benchmark's order of
+// set-ups and rounds on a 4-core AVX-512 host (microseconds; F and B per
+// layer, S and T of Alg2). BI and BW follow from B, as Auto derives them.
+PassTimes measured_table(double f, double b, double s, double t, double i, double j) {
+  PassTimes table;
+  table.f = f * 1e-6;
+  table.b = b * 1e-6;
+  table.bi = table.b / 2.0;
+  table.bw = table.b / 2.0;
+  table.s[static_cast<std::size_t>(OutputAlgo::Alg2)] = s * 1e-6;
+  table.t[static_cast<std::size_t>(OutputAlgo::Alg2)] = t * 1e-6;
+  table.input_fwd = i * 1e-6;
+  table.input_bwd = j * 1e-6;
+  table.p = 4;
+  return table;
 }
 
-TEST(Calibration, FitsGemmCurveAndElementwiseRate) {
-  const auto samples = parse_kernel_samples(kSnapshot);
-  const KernelCalibration cal = calibrate(samples);
-  EXPECT_EQ(cal.gemm_samples_used, 3);  // the serial variant is excluded
-  EXPECT_EQ(cal.elementwise_samples_used, 3);
-  EXPECT_GT(cal.gemm_rate_flops, 35e9);  // asymptote above the smallest sample
-  EXPECT_GE(cal.gemm_overhead_flops, 0.0);
-  EXPECT_NEAR(cal.elementwise_rate_flops, 5.71227e9 * 5.0 / 8.0, 1e6);  // median row
-
-  const HardwareModel hw = cal.apply(HardwareModel{});
-  EXPECT_NEAR(hw.peak_flops * hw.max_efficiency, cal.gemm_rate_flops, 1.0);
-  EXPECT_DOUBLE_EQ(hw.kernel_overhead_flops, cal.gemm_overhead_flops);
-  EXPECT_DOUBLE_EQ(hw.elementwise_flops, cal.elementwise_rate_flops);
+search::SearchRequest auto_request() {
+  search::SearchRequest req;
+  req.p = 4;
+  req.algo = OutputAlgo::Alg2;
+  req.runtime_only = true;
+  req.include_multi_chunk = false;
+  return req;
 }
 
-TEST(Calibration, PassRatiosAreLoadableAndConsistent) {
-  const auto samples = parse_kernel_samples(kSnapshot);
-  const HardwareModel hw = calibrate(samples).apply(HardwareModel{});
-  const int p = 4;
-  ModelConfig mc = test_cost_model(p).config();
-  const CostModel cm(mc, hw);
-  const PassRatios r = pass_ratios(cm, OutputAlgo::Alg2, p, mc.num_layers / p);
-  EXPECT_GT(r.tF, 0.0);
-  EXPECT_GT(r.tBI, 0.0);
-  EXPECT_GT(r.tBW, 0.0);
-  EXPECT_GT(r.tS, 0.0);
-  EXPECT_GT(r.tT, 0.0);
-  // BI and BW each cost about one forward; their ratios must say so.
-  EXPECT_GT(r.bi_over_f(), 0.5);
-  EXPECT_LT(r.bi_over_f(), 2.0);
-  EXPECT_GT(r.bw_over_f(), 0.5);
-  EXPECT_LT(r.bw_over_f(), 2.0);
-  // Splitting costs one extra kernel launch: BI + BW >= the combined pass.
-  EXPECT_GE(r.tBI + r.tBW, cm.time_b_full(mc.num_layers / p) * (1.0 - 1e-9));
+// At the tiny-v211 shape the vocabulary passes are ~1% of the work and the
+// split backward's shorter critical path decides: a zb-vocab member ranks
+// first on the measured table under independent +-20% noise on every
+// measured kind, over 40 deterministic draws.
+TEST(MeasuredSearch, ZbRanksFirstAtTinyShapeUnderNoise) {
+  const ModelConfig mc = workload_config(64, 211);
+  const PassTimes table = measured_table(142.1, 258.7, 24.6, 10.3, 6.058, 5.284);
+  const auto alg2 = static_cast<std::size_t>(OutputAlgo::Alg2);
+  std::uint64_t state = 0x9e3779b97f4a7c15ull;
+  const auto noise = [&state] {  // uniform in [0.8, 1.2]
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return 0.8 + 0.4 * static_cast<double>((state >> 33) & 0xffffff) / 16777215.0;
+  };
+  for (int draw = 0; draw < 40; ++draw) {
+    PassTimes n = table;
+    n.f *= noise();
+    n.b *= noise();
+    n.bi = n.b / 2.0;
+    n.bw = n.b / 2.0;
+    n.s[alg2] *= noise();
+    n.t[alg2] *= noise();
+    n.input_fwd *= noise();
+    n.input_bwd *= noise();
+    const search::SearchResult res =
+        search::search_schedules(CostModel(mc, HardwareModel{}, n), auto_request());
+    ASSERT_NE(res.best(), nullptr) << "draw " << draw;
+    EXPECT_EQ(res.best()->family, "zb-vocab") << "draw " << draw << " picked "
+                                              << res.best()->name;
+  }
 }
 
-TEST(Calibration, PredictionOrderingStableUnderNoise) {
-  // Perturb every measured rate by up to +-20% (deterministic LCG) and
-  // recalibrate: the search's within-algorithm prediction ordering must not
-  // flip — zb beats the same-algo 1f1b on both makespan and bubble, and the
-  // algo-2 steady-state families beat bubble-heavy gpipe. (Cross-algo order
-  // is a genuine cost trade-off, not a stability invariant.)
-  const auto base_samples = parse_kernel_samples(kSnapshot);
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    std::uint64_t state = seed * 6364136223846793005ull + 1442695040888963407ull;
-    auto noise = [&state]() {  // uniform in [0.8, 1.2]
-      state = state * 6364136223846793005ull + 1442695040888963407ull;
-      return 0.8 + 0.4 * static_cast<double>((state >> 33) & 0xffffff) / 16777215.0;
-    };
-    std::vector<KernelSample> noisy = base_samples;
-    for (KernelSample& s : noisy) {
-      const double f = noise();
-      // Rate and time move together: same work, perturbed wall clock.
-      s.gflops /= f;
-      s.gbps /= f;
-      s.ns_per_iter *= f;
-    }
-    const HardwareModel hw = calibrate(noisy).apply(HardwareModel{});
-    const int p = 4;
-    const CostModel cm(test_cost_model(p).config(), hw);
-    search::SearchRequest req;
-    req.p = p;
-    req.runtime_only = true;
-    const search::SearchResult res = search::search_schedules(cm, req);
-
-    auto find = [&res](const std::string& name) -> const search::Candidate* {
-      for (const auto& c : res.ranked) {
-        if (c.name == name) return &c;
-      }
-      return nullptr;
-    };
-    for (const auto& c : res.ranked) {
-      EXPECT_TRUE(c.certified) << c.name << " seed " << seed;
-    }
-    for (const char* suffix : {"1", "2"}) {
-      const search::Candidate* zb = find(std::string("zb-vocab-") + suffix + "-w0");
-      const search::Candidate* base = find(std::string("1f1b-vocab-") + suffix);
-      ASSERT_NE(zb, nullptr) << "seed " << seed;
-      ASSERT_NE(base, nullptr) << "seed " << seed;
-      EXPECT_LT(zb->predicted_makespan, base->predicted_makespan)
-          << "alg" << suffix << " seed " << seed;
-      EXPECT_LT(zb->predicted_bubble, base->predicted_bubble)
-          << "alg" << suffix << " seed " << seed;
-    }
-    const search::Candidate* base2 = find("1f1b-vocab-2");
-    const search::Candidate* gpipe2 = find("gpipe-vocab-2");
-    ASSERT_NE(base2, nullptr);
-    ASSERT_NE(gpipe2, nullptr);
-    EXPECT_LT(base2->predicted_makespan, gpipe2->predicted_makespan) << "seed " << seed;
+// At the paper-v8k shape S and T each cost about a stage's forward. On
+// each of three tables Auto measured in separate runs, GPipe-vocab, which
+// measures slowest there, does not rank first. (Under +-20% per-kind noise
+// it does in 2-5 of 40 draws: the in-order simulator puts it within ~3% of
+// 1F1B-vocab; see ROADMAP item 7.)
+TEST(MeasuredSearch, GpipeNeverRanksFirstAtPaperShape) {
+  const ModelConfig mc = workload_config(128, 8191);
+  for (const PassTimes& table : {measured_table(393.4, 697.9, 871.8, 689.4, 8.000, 7.697),
+                                 measured_table(443.4, 830.0, 902.9, 777.1, 9.370, 8.404),
+                                 measured_table(391.7, 743.2, 750.6, 620.9, 10.139, 8.402)}) {
+    const search::SearchResult res =
+        search::search_schedules(CostModel(mc, HardwareModel{}, table), auto_request());
+    ASSERT_NE(res.best(), nullptr);
+    EXPECT_NE(res.best()->name, "gpipe-vocab-2") << "f = " << table.f;
+    for (const auto& c : res.ranked) EXPECT_TRUE(c.certified) << c.name;
   }
 }
 

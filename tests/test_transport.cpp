@@ -869,6 +869,43 @@ TEST(ShmFork, ElasticCleanRunMatchesInProcess) {
   expect_bitwise_equal(load_checkpoint(checkpoint), reference.export_weights());
 }
 
+// Auto in lane mode: each worker process profiles its own lane, and the
+// all-reduce that agrees on the measured table makes every rank re-rank to
+// the same schedule (ranks that picked differently would mismatch their
+// collectives). The bits equal the in-process threads run, whatever either
+// picked.
+TEST(ShmFork, ElasticAutoRanksAgreeOnTheMeasuredPick) {
+  VOCAB_REQUIRE_FORK_SUPPORT();
+  EnvGuard guard("VOCAB_SCHEDULE", nullptr);
+  const GptConfig cfg = transport_config();
+  const std::uint64_t kSeed = 345;
+  const SyntheticCorpus corpus(cfg.vocab, cfg.seq_len, 346);
+  const OptimizerConfig opt = OptimizerConfig::sgd(0.05f);
+  constexpr std::uint64_t kIterations = 4;
+  const std::string checkpoint = temp_path("elastic_auto.ckpt");
+
+  ElasticTrainer elastic(GptWeights::init(cfg, kSeed), /*p=*/2, OutputAlgo::Alg2,
+                         PipelineFlavor::Auto, elastic_options(checkpoint));
+  const ElasticResult result = elastic.train(
+      kIterations, [&](std::uint64_t it) { return microbatches(corpus, it, 4); }, opt);
+
+  EXPECT_EQ(result.kills, 0);
+  EXPECT_EQ(result.aborts, 0);
+  EXPECT_EQ(result.generations, 1);
+  ASSERT_EQ(result.losses.size(), kIterations);
+  ASSERT_EQ(result.schedules.size(), 2u);
+  EXPECT_FALSE(result.schedules[0].empty());
+  EXPECT_EQ(result.schedules[0], result.schedules[1]);
+
+  PipelineTrainer threads(GptWeights::init(cfg, kSeed), /*p=*/2, OutputAlgo::Alg2,
+                          PipelineFlavor::Auto);
+  for (std::uint64_t it = 0; it < kIterations; ++it) {
+    EXPECT_EQ(threads.train_iteration(microbatches(corpus, it, 4), opt), result.losses[it])
+        << "iteration " << it;
+  }
+  expect_bitwise_equal(load_checkpoint(checkpoint), threads.export_weights());
+}
+
 // ---------------------------------------------------------------------------
 // Tcp backend: env selection + the timeout lattice.
 // ---------------------------------------------------------------------------
@@ -1240,10 +1277,14 @@ TEST(TcpBackend, TrainerBitIdenticalToThreadsAllFlavors) {
   const GptConfig cfg = transport_config();
   const SyntheticCorpus corpus(cfg.vocab, cfg.seq_len, 351);
   const OptimizerConfig opt = OptimizerConfig::sgd(0.05f);
-  constexpr int kIters = 2;
+  // Three iterations, so Auto runs the pick of its measured search too. tcp
+  // does not overlap collectives, so its timings (and possibly its pick)
+  // differ from threads; its bits must not.
+  constexpr int kIters = 3;
 
   const PipelineFlavor flavors[] = {PipelineFlavor::Baseline1F1B, PipelineFlavor::OneFOneBVocab,
-                                    PipelineFlavor::VHalf, PipelineFlavor::ZbVocab};
+                                    PipelineFlavor::VHalf, PipelineFlavor::ZbVocab,
+                                    PipelineFlavor::Auto};
   for (const PipelineFlavor flavor : flavors) {
     auto run = [&](transport::Transport* backend) {
       PipelineTrainer trainer(GptWeights::init(cfg, 350), /*p=*/2, OutputAlgo::Alg1, flavor,
