@@ -4,14 +4,14 @@
 //
 // Emits BENCH_pipeline.json: per flavor, ns/iteration, speedup over the
 // naive baseline, and each device's idle fraction as measured by the
-// executor (comm waits inside compute ops count as busy, so the printed
-// idle is a lower bound). A second section prices the numeric guardrails:
+// executor (P2P receive waits and collective waits count as idle, not as
+// the ops' busy time). A second section prices the numeric guardrails:
 // the same pipelined run at VOCAB_GUARD_LEVEL 0/1/2, so the fence's cost —
 // and level 0's zero-overhead claim — is a number in the JSON, not a
 // promise in a doc. A `transport` section A/Bs the comm backends (threads
-// vs shm rings vs tcp loopback sockets) on the same schedule: all three are
-// bit-identical by construction, so the deltas price serialization + kernel
-// crossings.
+// vs tcp loopback sockets) on the same schedule: both are bit-identical by
+// construction, so the delta prices serialization, kernel crossings and the
+// waits tcp does not overlap.
 //
 // Usage: bench_pipeline_wallclock [--json <path>] [--p <devices>]
 //                                 [--m <microbatches>] [--iters <n>]
@@ -32,8 +32,6 @@
 #include "model/gpt.h"
 #include "runtime/pipeline_trainer.h"
 #include "search/schedule_search.h"
-#include "transport/shm_region.h"
-#include "transport/shm_transport.h"
 #include "transport/tcp_frame.h"
 #include "transport/tcp_transport.h"
 #include "transport/thread_transport.h"
@@ -54,9 +52,8 @@ struct Result {
   std::string name;
   double ns_per_iter = 0.0;
   double speedup_vs_naive = 0.0;
-  // Measured per-device bubble fraction (executor idle / wall). Comm waits
-  // inside compute ops count as busy, so this is a lower bound on the true
-  // bubble.
+  // Measured per-device bubble fraction (executor idle / wall). Receive and
+  // collective waits count as idle.
   std::vector<double> bubble;
 };
 
@@ -114,14 +111,13 @@ GuardOverhead run_guard_overhead(const GptWeights& weights, const std::vector<Sa
 }
 
 /// Comm backends on the same schedule: in-process threads (mutex+condvar
-/// queues), shm rings (lock-free SPSC over a shared mapping), and tcp
-/// loopback sockets (CRC-framed, supervised). The transport suite asserts
-/// all three are bit-identical, so the deltas here price pure serialization
-/// and kernel-crossing cost — what a deployment pays to leave one machine.
+/// queues) and tcp loopback sockets (CRC-framed). The transport suite
+/// asserts both are bit-identical, so the delta here prices serialization,
+/// kernel crossings and rendezvous — what a deployment pays to leave one
+/// process.
 struct TransportAb {
   std::string flavor;
   double ns_threads = 0.0;
-  double ns_shm = 0.0;  // 0 = backend unsupported on this platform
   double ns_tcp = 0.0;  // 0 = backend unsupported on this platform
 };
 
@@ -139,10 +135,6 @@ TransportAb run_transport_ab(const GptWeights& weights, const std::vector<Sample
   {
     transport::ThreadTransport threads;
     ab.ns_threads = time_backend(&threads);
-  }
-  if (transport::shm_transport_supported()) {
-    transport::ShmTransport shm = transport::ShmTransport::in_process();
-    ab.ns_shm = time_backend(&shm);
   }
   if (transport::tcp_transport_supported()) {
     transport::TcpTransport tcp = transport::TcpTransport::in_process();
@@ -328,17 +320,14 @@ std::string render_json(const std::vector<Result>& results, const GuardOverhead&
                 static_cast<double>(mp.loss_fp32), static_cast<double>(mp.loss_bf16),
                 std::abs(mp.loss_bf16 - mp.loss_fp32) / denom);
   out += buf;
-  // ns_per_iter 0 = backend unsupported on the measurement machine (shm
-  // needs fork+shared mappings, tcp needs loopback sockets); overhead is
-  // relative to the threads backend and 0 when the column is absent.
+  // ns_per_iter_tcp 0 = loopback sockets unsupported on the measurement
+  // machine; the overhead is relative to the threads backend and 0 then.
   std::snprintf(buf, sizeof(buf),
                 "  \"transport\": {\"flavor\": \"%s\", \"ns_per_iter_threads\": %.0f, "
-                "\"ns_per_iter_shm\": %.0f, \"ns_per_iter_tcp\": %.0f, ",
-                tab.flavor.c_str(), tab.ns_threads, tab.ns_shm, tab.ns_tcp);
+                "\"ns_per_iter_tcp\": %.0f, ",
+                tab.flavor.c_str(), tab.ns_threads, tab.ns_tcp);
   out += buf;
-  std::snprintf(buf, sizeof(buf), "\"shm_overhead\": %.4f, \"tcp_overhead\": %.4f},\n",
-                tab.ns_threads > 0.0 && tab.ns_shm > 0.0 ? tab.ns_shm / tab.ns_threads - 1.0
-                                                         : 0.0,
+  std::snprintf(buf, sizeof(buf), "\"tcp_overhead\": %.4f},\n",
                 tab.ns_threads > 0.0 && tab.ns_tcp > 0.0 ? tab.ns_tcp / tab.ns_threads - 1.0
                                                          : 0.0);
   out += buf;
@@ -456,17 +445,11 @@ int run(int argc, char** argv) {
               guard.ns_per_iter[2] / 1e6,
               (guard.ns_per_iter[2] / guard.ns_per_iter[0] - 1.0) * 100.0);
 
-  // Comm-backend pricing (threads vs shm vs tcp) on the paper's main
-  // schedule; unsupported backends print as such and record 0 in the JSON.
+  // Comm-backend pricing (threads vs tcp) on the paper's main schedule; an
+  // unsupported backend prints as such and records 0 in the JSON.
   const TransportAb tab = run_transport_ab(weights, mbs, p, flavors[2], iters);
   std::printf("  transport (%s): threads %.2f ms/iter", tab.flavor.c_str(),
               tab.ns_threads / 1e6);
-  if (tab.ns_shm > 0.0) {
-    std::printf(", shm %.2f (%+.2f%%)", tab.ns_shm / 1e6,
-                (tab.ns_shm / tab.ns_threads - 1.0) * 100.0);
-  } else {
-    std::printf(", shm unsupported");
-  }
   if (tab.ns_tcp > 0.0) {
     std::printf(", tcp %.2f (%+.2f%%)", tab.ns_tcp / 1e6,
                 (tab.ns_tcp / tab.ns_threads - 1.0) * 100.0);

@@ -11,19 +11,17 @@
 //                                              # bit-flip) with the process
 //                                              # faults, guard level 1
 //
-// Multi-process mode (the transport PRs' soak): real fork()ed workers over
-// shared-memory rings or a supervised tcp socket mesh. SIGKILL one worker
-// mid-iteration (or, over tcp, inject deterministic network chaos into its
-// connection supervisor) and check the elastic recovery loop republishes a
-// loss sequence bit-identical to a never-failed in-process reference
-// replayed at the widths the run actually used.
+// Multi-process mode (the transport soak): real fork()ed workers over the
+// supervised tcp socket mesh. SIGKILL one worker mid-iteration (or inject
+// deterministic network chaos into its connection supervisor) and check the
+// elastic recovery loop republishes a loss sequence bit-identical to a
+// never-failed in-process reference replayed at the widths the run
+// actually used.
 //
-//   ./build/bench/fault_stress --transport shm
-//       rotate the killed rank + iteration across runs
-//   ./build/bench/fault_stress --transport shm --kill-rank 1 --at-iter 2
-//       pin the death
 //   ./build/bench/fault_stress --transport tcp
-//       the same SIGKILL soak over the tcp mesh
+//       rotate the killed rank + iteration across runs
+//   ./build/bench/fault_stress --transport tcp --kill-rank 1 --at-iter 2
+//       pin the death
 //   ./build/bench/fault_stress --transport tcp --chaos partition
 //       network chaos instead of death; modes: drop (transient link drop,
 //       must reconnect with NO downgrade), partition (sticky blackhole,
@@ -254,7 +252,7 @@ RunOutcome run_one_numeric(PipelineFlavor flavor, int p, FaultKind kind,
 // truncate, stall) must heal inside the supervisor with NO downgrade.
 RunOutcome run_one_elastic(PipelineFlavor flavor, int p, FaultKind kind, int fault_rank,
                            std::uint64_t fault_iter, std::uint64_t seed,
-                           transport::TransportKind backend, const std::string& ckpt_path) {
+                           const std::string& ckpt_path) {
   constexpr std::uint64_t kIterations = 4;
   const GptConfig cfg = stress_config();
   const GptWeights init = GptWeights::init(cfg, 100 + static_cast<int>(seed % 1000));
@@ -266,7 +264,6 @@ RunOutcome run_one_elastic(PipelineFlavor flavor, int p, FaultKind kind, int fau
 
   ElasticOptions options;
   options.checkpoint_path = ckpt_path;
-  options.backend = backend;
   options.transport.heartbeat_period = std::chrono::milliseconds(20);
   // Generous relative to the 20ms beat: the soak box may be a single
   // oversubscribed core where a busy worker's supervisor thread can go
@@ -391,8 +388,8 @@ int main(int argc, char** argv) {
       numeric = true;
     } else if (std::strcmp(argv[i], "--transport") == 0 && i + 1 < argc) {
       transport = argv[++i];
-      if (transport != "threads" && transport != "shm" && transport != "tcp") {
-        std::cerr << "fault_stress: unknown transport '" << transport << "'\n";
+      if (transport != "threads" && transport != "tcp") {
+        std::cerr << "fault_stress: unknown transport '" << transport << "' (threads|tcp)\n";
         return 2;
       }
     } else if (std::strcmp(argv[i], "--chaos") == 0 && i + 1 < argc) {
@@ -409,7 +406,7 @@ int main(int argc, char** argv) {
       at_iter = std::atoll(argv[++i]);
     } else {
       std::cerr << "usage: fault_stress [--rounds N] [--seed S] [--numeric]\n"
-                   "                    [--transport threads|shm|tcp]\n"
+                   "                    [--transport threads|tcp]\n"
                    "                    [--chaos drop|partition|dup|truncate|stall]\n"
                    "                    [--kill-rank R] [--at-iter N]\n";
       return 2;
@@ -420,15 +417,14 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  if (transport == "shm" || transport == "tcp") {
+  if (transport == "tcp") {
     // Real process death / network chaos + elastic recovery over forked
     // workers. Skips cleanly (exit 0) where the platform lacks support.
-    if (!transport::shm_transport_supported()) {
-      std::cout << "fault_stress: shared-memory transport unsupported here; skipping\n";
+    if (!transport::shm_arena_supported()) {
+      std::cout << "fault_stress: shared-memory control arena unsupported here; skipping\n";
       return 0;
     }
-    const bool tcp = transport == "tcp";
-    if (tcp && !transport::tcp_transport_supported()) {
+    if (!transport::tcp_transport_supported()) {
       std::cout << "fault_stress: loopback tcp sockets unsupported here; skipping\n";
       return 0;
     }
@@ -438,8 +434,6 @@ int main(int argc, char** argv) {
     else if (chaos == "dup") kind = FaultKind::DuplicateFrame;
     else if (chaos == "truncate") kind = FaultKind::TruncateFrame;
     else if (chaos == "stall") kind = FaultKind::StallSocket;
-    const transport::TransportKind backend =
-        tcp ? transport::TransportKind::kTcp : transport::TransportKind::kShm;
     const char* mp_tmpdir = std::getenv("TMPDIR");
     const std::string mp_ckpt =
         std::string(mp_tmpdir != nullptr ? mp_tmpdir : "/tmp") + "/fault_stress_elastic.ckpt";
@@ -456,7 +450,7 @@ int main(int argc, char** argv) {
         const std::uint64_t run_seed = seed + static_cast<std::uint64_t>(runs);
         const auto t0 = std::chrono::steady_clock::now();
         const RunOutcome out =
-            run_one_elastic(flavor, p, kind, rank, iter, run_seed, backend, mp_ckpt);
+            run_one_elastic(flavor, p, kind, rank, iter, run_seed, mp_ckpt);
         const double secs =
             std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
         ++runs;

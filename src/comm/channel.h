@@ -9,8 +9,8 @@
 //
 // Since the transport layer landed, Channel is a facade over a pluggable
 // transport::Mailbox backend: the in-process thread rendezvous (default,
-// bit-identical to the historical implementation) or shared-memory ring
-// buffers that work across fork() (VOCAB_TRANSPORT=shm). The public API and
+// bit-identical to the historical implementation) or framed tcp sockets
+// that work across fork() (VOCAB_TRANSPORT=tcp). The public API and
 // error texts are unchanged; DeadlockError reports additionally name the
 // backend and peer heartbeat ages so a hang is attributable to a dead peer
 // vs. a schedule bug.
@@ -66,7 +66,7 @@ class Channel {
   Tensor recv_tag(const std::string& tag);
 
   /// Whether recv_tag(tag) would return at once. Never blocks; backends
-  /// without a non-blocking probe (shm, tcp) always report true.
+  /// without a non-blocking probe (tcp) always report true.
   [[nodiscard]] bool has_tag(const std::string& tag) const { return impl_->has_tag(tag); }
 
   /// Drop every queued message (recovery: drain stale in-flight traffic).

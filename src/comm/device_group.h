@@ -2,7 +2,7 @@
 
 // Communication group standing in for NCCL.
 //
-// Each simulated pipeline device is an OS thread (or, under the shm
+// Each simulated pipeline device is an OS thread (or, under the tcp
 // transport's multi-process mode, an OS process); a DeviceGroup provides the
 // collectives the paper's algorithms need: AllReduce(max), AllReduce(sum),
 // Reduce(sum), Broadcast and Barrier. Semantics mirror NCCL:

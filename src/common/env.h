@@ -49,7 +49,7 @@ namespace vocab {
 /// and a heartbeat period at or above its timeout declares every live peer
 /// dead — so a violation throws CheckError naming all three knobs and their
 /// current values. Called once per TransportConfig::from_env resolution
-/// (i.e. by every backend that detects failures: shm and tcp).
+/// (i.e. by the backend that detects failures: tcp).
 void validate_timeout_lattice(std::int64_t heartbeat_ms, std::int64_t heartbeat_timeout_ms,
                               std::int64_t comm_timeout_ms);
 

@@ -30,7 +30,7 @@
 //                 explodes the magnitude but need not produce NaN/Inf.
 //
 //   KillProcess / DropMessage / DelayMessage / SuppressHeartbeat — transport
-//                 faults for the multi-process (shm) backend: KillProcess
+//                 faults for the multi-process (tcp) backend: KillProcess
 //                 raises SIGKILL on the calling worker (genuine peer death,
 //                 detectable only by heartbeat loss / waitpid); the message
 //                 kinds arm a one-shot drop/delay that the trainer's next

@@ -46,7 +46,7 @@ struct WatchdogDeviceBeat {
 
 /// One transport peer link's connection state as captured in a snapshot —
 /// populated via Watchdog::set_peer_probe by connection-supervising backends
-/// (tcp); empty for threads/shm. Mirrors transport::PeerStatus.
+/// (tcp); empty for threads. Mirrors transport::PeerStatus.
 struct WatchdogPeerLink {
   int rank = -1;
   std::string state;  ///< connecting | connected | reconnecting | dead | done

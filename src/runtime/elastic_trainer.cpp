@@ -14,7 +14,6 @@
 #include "runtime/resilient_trainer.h"
 #include "transport/process_group.h"
 #include "transport/shm_region.h"
-#include "transport/shm_transport.h"
 #include "transport/tcp_frame.h"
 #include "transport/tcp_transport.h"
 
@@ -28,8 +27,6 @@ ElasticTrainer::ElasticTrainer(GptWeights weights, int p, OutputAlgo algo,
               "elastic training requires a checkpoint path (recovery IS the checkpoint)");
   VOCAB_CHECK(flavor_ != PipelineFlavor::Naive,
               "elastic lane workers drive the scheduled flavors only (not naive)");
-  VOCAB_CHECK(options_.backend != transport::TransportKind::kThreads,
-              "elastic training needs a multi-process backend (shm or tcp)");
   // The initial checkpoint: even a death in the very first iteration has a
   // good state to restart from.
   save_checkpoint(options_.checkpoint_path, weights);
@@ -49,35 +46,15 @@ void ElasticTrainer::worker_main(int rank, transport::ShmArena& arena, int width
 
   auto injector = std::make_shared<FaultInjector>(plan);
 
-  // Both multi-process backends attach to the pre-fork arena; tcp uses it as
-  // the control plane only and brings up its socket mesh here (establish()
+  // The arena is the control plane; attach() brings up the socket mesh (it
   // blocks until every peer link is connected).
-  std::unique_ptr<transport::Transport> transport;
-  transport::TcpSupervisor* tcp_supervisor = nullptr;
-  std::function<void(std::shared_ptr<AbortToken>)> set_token;
-  std::function<void()> mark_done;
-  if (options_.backend == transport::TransportKind::kTcp) {
-    auto tcp = transport::TcpTransport::attach(arena, rank, options_.transport, injector);
-    tcp->set_heartbeat_suppressed(
-        [injector, rank] { return injector->heartbeat_suppressed(rank); });
-    tcp_supervisor = tcp->supervisor();
-    auto* raw = tcp.get();
-    set_token = [raw](std::shared_ptr<AbortToken> t) { raw->set_abort_token(std::move(t)); };
-    mark_done = [raw] { raw->mark_done(); };
-    transport = std::move(tcp);
-  } else {
-    auto shm = transport::ShmTransport::attach(arena, rank, options_.transport);
-    shm->set_heartbeat_suppressed(
-        [injector, rank] { return injector->heartbeat_suppressed(rank); });
-    auto* raw = shm.get();
-    set_token = [raw](std::shared_ptr<AbortToken> t) { raw->set_abort_token(std::move(t)); };
-    mark_done = [raw] { raw->mark_done(); };
-    transport = std::move(shm);
-  }
+  auto tcp = transport::TcpTransport::attach(arena, rank, options_.transport, injector);
+  tcp->set_heartbeat_suppressed([injector, rank] { return injector->heartbeat_suppressed(rank); });
+  transport::TcpSupervisor* supervisor = tcp->supervisor();
 
   GptWeights weights = load_checkpoint(options_.checkpoint_path);
-  PipelineTrainer trainer(std::move(weights), width, algo_, flavor_, transport.get());
-  set_token(trainer.abort_token());
+  PipelineTrainer trainer(std::move(weights), width, algo_, flavor_, tcp.get());
+  tcp->set_abort_token(trainer.abort_token());
   trainer.set_fault_injector(injector);
   if (options_.enable_watchdog) trainer.enable_watchdog(options_.watchdog);
 
@@ -103,32 +80,29 @@ void ElasticTrainer::worker_main(int rank, transport::ShmArena& arena, int width
     // than in a transport wait; if *this* rank's supervisor is the one that
     // declared a peer dead, reclassify so the coordinator sees exit code 5
     // (partition → downgrade), not 3 (voluntary unwind → same-width retry).
-    if (tcp_supervisor != nullptr && tcp_supervisor->dead_peer() >= 0) {
-      throw transport::PeerDeadError(
-          tcp_supervisor->dead_peer(),
-          "rank " + std::to_string(rank) + " unwound: rank " +
-              std::to_string(tcp_supervisor->dead_peer()) + " is dead" +
-              tcp_supervisor->diag_suffix());
+    if (supervisor->dead_peer() >= 0) {
+      throw transport::PeerDeadError(supervisor->dead_peer(),
+                                     "rank " + std::to_string(rank) + " unwound: rank " +
+                                         std::to_string(supervisor->dead_peer()) + " is dead" +
+                                         supervisor->diag_suffix());
     }
     throw;
   }
-  std::snprintf(arena.rank_state(rank).schedule, transport::kShmScheduleBytes, "%s",
+  std::snprintf(arena.rank_state(rank).schedule, transport::kArenaScheduleBytes, "%s",
                 trainer.selected_schedule().c_str());
-  mark_done();
+  tcp->mark_done();
 }
 
 ElasticResult ElasticTrainer::train(std::uint64_t iterations, const BatchFn& batch,
                                     const OptimizerConfig& opt) {
   VOCAB_CHECK(iterations >= 1, "need at least one iteration");
-  VOCAB_CHECK(iterations <= transport::kShmProgressSlots,
-              "elastic progress block holds " << transport::kShmProgressSlots
+  VOCAB_CHECK(iterations <= transport::kArenaProgressSlots,
+              "elastic progress block holds " << transport::kArenaProgressSlots
                                               << " iterations, asked for " << iterations);
-  VOCAB_CHECK(transport::shm_transport_supported(),
-              "shared-memory transport unsupported on this platform");
-  if (options_.backend == transport::TransportKind::kTcp) {
-    VOCAB_CHECK(transport::tcp_transport_supported(),
-                "tcp transport unsupported on this platform");
-  }
+  VOCAB_CHECK(transport::shm_arena_supported(),
+              "shared-memory control arena unsupported on this platform");
+  VOCAB_CHECK(transport::tcp_transport_supported(),
+              "tcp transport unsupported on this platform");
 
   ElasticResult result;
   FaultPlan plan = plan_;
@@ -143,18 +117,9 @@ ElasticResult ElasticTrainer::train(std::uint64_t iterations, const BatchFn& bat
     result.history.push_back({next_iteration, width});
     result.events.push_back("generation " + std::to_string(result.generations) + ": width " +
                             std::to_string(width) + " from iteration " +
-                            std::to_string(next_iteration) + " over " +
-                            transport::to_string(options_.backend));
+                            std::to_string(next_iteration) + " over tcp");
 
-    transport::ShmArenaOptions arena_options;
-    arena_options.world = width;
-    // tcp's data plane is the socket mesh; the arena then carries only the
-    // control plane (abort, liveness, progress, port advertisement).
-    arena_options.num_mailboxes =
-        options_.backend == transport::TransportKind::kShm ? static_cast<std::size_t>(width) : 0;
-    arena_options.ring_bytes = options_.ring_bytes;
-    arena_options.slot_bytes = options_.slot_bytes;
-    auto arena = transport::ShmArena::create(arena_options);
+    auto arena = transport::ShmArena::create(width);
     VOCAB_CHECK(arena != nullptr, "failed to create the shared arena");
     arena->progress().completed.store(static_cast<std::int64_t>(next_iteration),
                                       std::memory_order_release);

@@ -1,16 +1,16 @@
 #pragma once
 
-// Live elastic downgrade over real OS processes, over a pluggable
-// multi-process transport (shm rings or supervised tcp sockets).
+// Live elastic downgrade over real OS processes, over the supervised tcp
+// socket mesh.
 //
 // ResilientTrainer recovers from *exceptions* inside one process; this
 // coordinator recovers from *process death* and *network partitions*. It
 // fans one training run out as one worker process per pipeline device, all
-// attached to a pre-fork shared arena (transport/shm_region.h):
+// attached to a pre-fork shared control arena (transport/shm_region.h):
 //
 //   coordinator                         worker rank r
 //   -----------                         -------------
-//   save initial checkpoint             attach Shm/TcpTransport(arena, r)
+//   save initial checkpoint             attach TcpTransport(arena, r)
 //   create ShmArena(world=width)        load checkpoint, build PipelineTrainer
 //   fork x width ------------------->   per iteration:
 //   poll waitpid + arena progress         train_iteration_lane(r, ...)
@@ -18,17 +18,15 @@
 //                                       rank 0: save checkpoint, publish
 //                                         loss + completed into the arena
 //
-// With `backend = kShm` the arena carries the data plane too (one ring per
-// mailbox). With `backend = kTcp` the data plane is a supervised full mesh
-// of loopback TCP connections and the arena shrinks to the control plane:
-// abort block, rank liveness/done flags, progress block, and the tcp port
-// advertisement — exactly the subset a future cross-machine deployment would
-// move onto a rendezvous service.
+// The data plane is a supervised full mesh of loopback TCP connections; the
+// arena is the control plane only: abort block, rank liveness/done flags,
+// progress block, and the tcp port advertisement — exactly the subset a
+// future cross-machine deployment would move onto a rendezvous service.
 //
 // Failure taxonomy, per generation:
 //   - worker killed by signal (waitpid says so): mark dead, post abort,
-//     downgrade width. The workers' own failure detectors (shm heartbeat
-//     beacon / tcp connection supervisor) back the coordinator up.
+//     downgrade width. The workers' own failure detectors (each rank's tcp
+//     connection supervisor) back the coordinator up.
 //   - worker exits kWorkerExitPeerDead (5): its transport *itself* declared
 //     a peer dead — over tcp that is a partition (heartbeat silence) or an
 //     exhausted reconnect budget. The process mesh is unreliable even though
@@ -40,8 +38,8 @@
 // Every iteration is checkpointed (CRC32 + atomic rename) BEFORE rank 0
 // publishes it as completed, so a generation that dies mid-iteration resumes
 // exactly at the last published iteration and the loss sequence is
-// bit-identical to a clean run over the same generation widths — over either
-// backend (the fault_stress soak and the transport suite assert this).
+// bit-identical to a clean run over the same generation widths (the
+// fault_stress soak and the transport suite assert this).
 //
 // Survivability: the coordinator itself holds no training state — a
 // coordinator death loses only the monitor; the checkpoint file plus the
@@ -70,9 +68,6 @@ namespace vocab {
 struct ElasticOptions {
   /// Where the (single) rolling checkpoint lives. Required.
   std::string checkpoint_path;
-  /// Data-plane transport the workers attach to: kShm (arena rings) or kTcp
-  /// (supervised socket mesh). kThreads is not spawnable across fork().
-  transport::TransportKind backend = transport::TransportKind::kShm;
   /// Heartbeat / retry knobs handed to every worker's attached transport.
   transport::TransportConfig transport = {};
   /// Run the per-lane stall watchdog inside every worker iteration.
@@ -84,11 +79,6 @@ struct ElasticOptions {
   /// Hard bound on process-group spawns (first generation included); the
   /// loop throws CheckError when exceeded instead of respawning forever.
   int max_generations = 16;
-  /// Shared-arena sizing (per-mailbox ring data bytes / max serialized
-  /// tensor); the defaults fit the test-scale models comfortably. The tcp
-  /// backend allocates no rings (its data plane is the socket mesh).
-  std::size_t ring_bytes = std::size_t{8} << 20;
-  std::size_t slot_bytes = std::size_t{4} << 20;
 };
 
 /// One process-group lifetime: which global iteration it started at and at
@@ -132,16 +122,16 @@ class ElasticTrainer {
   /// Deterministic fault plan every worker's injector is built from. Specs
   /// whose iteration has already been attempted are dropped between
   /// generations (the one-shot `fired` state dies with the process that
-  /// fired it, so the coordinator must keep retries clean). Over tcp, the
+  /// fired it, so the coordinator must keep retries clean). The
   /// network-chaos specs (DropConnection/PartitionPeer/...) are applied by
   /// each worker's connection supervisor.
   void set_fault_plan(FaultPlan plan);
 
   /// Run `iterations` training iterations across worker processes, surviving
   /// worker death and network partition by elastic downgrade. Throws
-  /// CheckError when the platform lacks shared-memory (or, for kTcp,
-  /// loopback-socket) support, when max_generations is exhausted, or when a
-  /// generation fails with no admissible recovery.
+  /// CheckError when the platform lacks shared-memory or loopback-socket
+  /// support, when max_generations is exhausted, or when a generation fails
+  /// with no admissible recovery.
   ElasticResult train(std::uint64_t iterations, const BatchFn& batch,
                       const OptimizerConfig& opt);
 

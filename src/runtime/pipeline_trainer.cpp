@@ -203,9 +203,10 @@ PipelineTrainer::PipelineTrainer(GptWeights weights, int p, OutputAlgo algo,
   // all-reduce). Single-device folded layouts clip locally instead.
   //
   // NOTE: the construction order here — collective group first, then the p
-  // mailboxes in rank order — is the shm transport's arena consumption
-  // order. Every worker process attaching the same arena must build its
-  // trainer the same way, which they do by running this constructor.
+  // mailboxes in rank order — is how the attached tcp transport maps mailbox
+  // i to rank i's inbox. Every worker process attaching the same arena must
+  // build its trainer the same way, which they do by running this
+  // constructor.
   if (vocab_sharded() || p > 1) {
     group_ = std::make_unique<DeviceGroup>(p, kCommTimeoutFromEnv, transport);
     group_->set_abort_token(abort_);

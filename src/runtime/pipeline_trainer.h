@@ -96,7 +96,7 @@ class PipelineTrainer {
   ///
   /// `transport` (nullable) selects the comm backend the trainer's channels
   /// and collective group are built on: null uses the process default
-  /// (VOCAB_TRANSPORT); an attached shm transport makes this trainer one
+  /// (VOCAB_TRANSPORT); an attached tcp transport makes this trainer one
   /// lane of a multi-process group (see train_iteration_lane). The trainer
   /// borrows the pointer — the transport must outlive it.
   PipelineTrainer(GptWeights weights, int p, OutputAlgo algo,
@@ -119,7 +119,7 @@ class PipelineTrainer {
   /// Multi-process entry point: run ONLY `rank`'s share of one training
   /// iteration on the calling thread. Every rank of the group must call this
   /// with the same microbatches and optimizer config — each worker process
-  /// owns one trainer built over the same attached shm transport, and the
+  /// owns one trainer built over its rank's attached tcp transport, and the
   /// cross-rank ordering that sibling threads provide under train_iteration
   /// comes from the transport's blocking recvs and collective rendezvous
   /// instead. Mixed precision and the naive flavor are not supported in

@@ -185,12 +185,12 @@ class ScheduleExecutor {
   void run(OpRunner& runner);
 
   /// Execute only `device`'s projection of the schedule, on the calling
-  /// thread. This is the multi-process entry point: under the shm transport
+  /// thread. This is the multi-process entry point: under the tcp transport
   /// each OS process is one pipeline lane and drives exactly one device,
   /// with cross-lane ordering enforced by the transport's blocking channel
   /// recvs and collective rendezvous instead of sibling threads. Same lane
   /// body and failure protocol as run(): a failure aborts the shared token
-  /// (which the shm transport mirrors to every peer process) and is
+  /// (which the tcp transport mirrors to every peer process) and is
   /// rethrown.
   void run_lane(OpRunner& runner, int device);
 

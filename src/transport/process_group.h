@@ -1,6 +1,6 @@
 #pragma once
 
-// fork()-based worker group for the shm transport's multi-process mode.
+// fork()-based worker group for the tcp transport's multi-process mode.
 //
 // The coordinator creates the ShmArena, then spawns one OS process per
 // pipeline device; each child runs `fn(rank)` and MUST leave via _exit (the

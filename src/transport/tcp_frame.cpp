@@ -310,7 +310,7 @@ void PayloadWriter::str(const std::string& s) {
 
 void PayloadWriter::tensor(const Tensor& t) {
   u32(static_cast<std::uint32_t>(t.rank()));
-  u32(0);  // pad, keeps the layout identical to the shm slot format
+  u32(0);  // pad: ndims occupies an 8-byte field
   for (int i = 0; i < t.rank(); ++i) {
     const std::int64_t d = t.dim(i);
     put_bytes(&bytes_, &d, 8);

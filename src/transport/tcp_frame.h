@@ -5,8 +5,8 @@
 /// (supervisor, mailboxes, collectives) speaks Frames; everything below it
 /// is POSIX sockets on loopback/LAN.
 ///
-/// Wire format (all integers little-endian, matching the shm arena and the
-/// checkpoint file — this code never runs cross-endian):
+/// Wire format (all integers little-endian, matching the checkpoint file —
+/// this code never runs cross-endian):
 ///
 ///   header (24 bytes):
 ///     u32 magic        0x56504354 ("VPCT" — Vocab Pipeline C++ Tcp)
@@ -127,9 +127,9 @@ DecodeStatus decode_frame(const std::byte* data, std::size_t size, Frame* out,
 // ---------------------------------------------------------------------------
 // Payload serialization
 // ---------------------------------------------------------------------------
-// Tensors use the exact shm wire format (u32 ndims, u32 pad, i64 dims[],
-// f32 data) — fp32 bits are memcpy'd, so deserialization is bitwise and any
-// backend reduces to the same result as the threads backend.
+// Tensors are u32 ndims, u32 pad, i64 dims[], f32 data — fp32 bits are
+// memcpy'd, so deserialization is bitwise and tcp reduces to the same result
+// as the threads backend.
 
 class PayloadWriter {
  public:

@@ -183,8 +183,8 @@ void TcpSupervisor::lap_locked(bool beacon) {
   }
   if (!beacon) return;
 
-  // Arena beacon duties (the tcp worker runs no shm beacon — this thread IS
-  // the beacon): stamp the heartbeat and mirror token <-> arena abort.
+  // Arena beacon duties (this thread IS the rank's beacon): stamp the
+  // heartbeat and mirror token <-> arena abort.
   const bool suppressed = suppressed_ && suppressed_();
   if (!suppressed) {
     arena_.rank_state(self_).heartbeat_ns.store(shm_monotonic_ns(), std::memory_order_release);

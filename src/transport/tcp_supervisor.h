@@ -30,8 +30,8 @@
 // Death escalation: when a peer is declared dead (silent past
 // VOCAB_HEARTBEAT_TIMEOUT_MS, or its link exhausted the reconnect budget),
 // the supervisor marks the rank dead in the arena, posts the shared abort,
-// and aborts the local token — the same coordinated-abort protocol the shm
-// backend uses — and blocked transport waits on *this* rank throw
+// and aborts the local token — the coordinated-abort protocol the in-process
+// fault machinery uses too — and blocked transport waits on *this* rank throw
 // PeerDeadError (worker exit code 5) so the elastic coordinator can tell a
 // partition from a deadlock.
 //

@@ -54,8 +54,8 @@ constexpr std::uint32_t kOpGatherRows = 6;
 /// Leader-side collective body, shared by the loopback hub and the mesh
 /// leader. `contrib(r)` is rank r's input tensor. The reduce order — rank 0's
 /// tensor is the accumulator, ranks 1..n-1 folded in ascending order — is the
-/// exact order the threads and shm backends use, which is what makes losses
-/// and weights bit-identical across all three.
+/// exact order the threads backend uses, which is what makes losses and
+/// weights bit-identical across both.
 Tensor leader_compute(std::uint32_t op, std::uint32_t root, int world,
                       const std::function<const Tensor&(int)>& contrib) {
   switch (op) {
@@ -116,8 +116,8 @@ const char* op_kind_name(std::uint32_t op) {
 // One real connected loopback socket pair per Channel. The sender encodes
 // kData frames into a write buffer and both sides pump (flush + drain) under
 // the shared mutex, so a blocked reader keeps the sender's bytes moving. The
-// channel capacity bound lives in a local occupancy counter, exactly like the
-// shm ring's: accepted-at-send, released-at-delivery.
+// channel capacity bound lives in a local occupancy counter:
+// accepted-at-send, released-at-delivery.
 
 class TcpLoopbackMailbox final : public Mailbox {
  public:
@@ -653,8 +653,8 @@ class TcpLoopbackCollective final : public Collective {
 // Attached (mesh) mailbox
 // ---------------------------------------------------------------------------
 // Mailbox i is rank i's inbox: the trainer creates one Channel per device in
-// rank order (the same deterministic construction order the shm arena relies
-// on), so senders address frames to rank == mailbox id and only the owner
+// rank order (a deterministic construction order, the same in every worker
+// process), so senders address frames to rank == mailbox id and only the owner
 // recvs. Reliability and backpressure live in the supervisor's outbox/ack
 // protocol; waits drive supervisor I/O via pump() so latency is not bounded
 // by the supervisor thread's cadence.

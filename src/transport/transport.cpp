@@ -4,7 +4,6 @@
 
 #include "common/env.h"
 #include "common/error.h"
-#include "transport/shm_transport.h"
 #include "transport/tcp_transport.h"
 #include "transport/thread_transport.h"
 
@@ -23,7 +22,6 @@ namespace transport {
 const char* to_string(TransportKind kind) {
   switch (kind) {
     case TransportKind::kThreads: return "threads";
-    case TransportKind::kShm: return "shm";
     case TransportKind::kTcp: return "tcp";
   }
   return "?";
@@ -61,11 +59,9 @@ void Collective::post(int rank, const std::string& tag, const CollectiveRequest&
 void Collective::wait(int /*rank*/, const std::string& /*tag*/) {}
 
 TransportKind transport_kind_from_env() {
-  const std::string v =
-      choice_from_env("VOCAB_TRANSPORT", "threads", {"threads", "shm", "tcp"});
-  if (v == "shm") return TransportKind::kShm;
-  if (v == "tcp") return TransportKind::kTcp;
-  return TransportKind::kThreads;
+  return choice_from_env("VOCAB_TRANSPORT", "threads", {"threads", "tcp"}) == "tcp"
+             ? TransportKind::kTcp
+             : TransportKind::kThreads;
 }
 
 TransportConfig TransportConfig::from_env() {
@@ -106,13 +102,8 @@ std::chrono::microseconds backoff_delay(const TransportConfig& config, int attem
 
 Transport& default_transport() {
   static ThreadTransport threads;
-  static ShmTransport shm = ShmTransport::in_process();
   static TcpTransport tcp = TcpTransport::in_process();
-  switch (transport_kind_from_env()) {
-    case TransportKind::kShm: return shm;
-    case TransportKind::kTcp: return tcp;
-    case TransportKind::kThreads: break;
-  }
+  if (transport_kind_from_env() == TransportKind::kTcp) return tcp;
   return threads;
 }
 

@@ -6,25 +6,24 @@
 // here: a Mailbox (bounded tag-addressed FIFO of tensors, the P2P primitive)
 // and a Collective (rendezvous barrier / all-reduce / reduce / broadcast /
 // all-gather, the NCCL stand-in). A Transport is a factory for both, plus
-// the failure-detection substrate that makes a multi-process backend honest:
-// per-rank heartbeats, peer-death detection, and a diagnostic suffix so a
-// timed-out wait names the backend and the last heartbeat age — a hang is
-// then attributable to a dead peer vs. a schedule bug.
+// the failure-detection substrate that makes the multi-process backend
+// honest: per-rank heartbeats, peer-death detection, and a diagnostic suffix
+// so a timed-out wait names the backend and the last heartbeat age — a hang
+// is then attributable to a dead peer vs. a schedule bug.
 //
 // Backends:
 //   threads — in-process condition-variable mailboxes, and collectives
 //             whose post never blocks: any number in flight, matched by
 //             tag (default). transport/thread_transport.h.
-//   shm     — shared-memory ring buffers + rendezvous cells that work across
-//             fork(): one OS process per pipeline device, heartbeat beacons,
-//             and peer death converted into the coordinated AbortToken
-//             protocol. transport/shm_transport.h.
 //   tcp     — length-prefixed CRC32-checked frames over loopback/LAN TCP
 //             sockets with a per-peer connection supervisor (reconnect with
 //             bounded backoff, in-band heartbeats, half-open detection) and a
-//             deterministic network-chaos layer. transport/tcp_transport.h.
+//             deterministic network-chaos layer; the one backend that works
+//             across fork(), one OS process per pipeline device, with peer
+//             death converted into the coordinated AbortToken protocol.
+//             transport/tcp_transport.h.
 //
-// Selection: VOCAB_TRANSPORT={threads,shm,tcp} (strict-parsed; common/env).
+// Selection: VOCAB_TRANSPORT={threads,tcp} (strict-parsed; common/env).
 // Tuning: VOCAB_HEARTBEAT_MS, VOCAB_HEARTBEAT_TIMEOUT_MS, VOCAB_RETRY_MAX,
 // VOCAB_RETRY_BACKOFF_MS (TransportConfig::from_env); the lattice
 // VOCAB_HEARTBEAT_MS < VOCAB_HEARTBEAT_TIMEOUT_MS < VOCAB_COMM_TIMEOUT_MS is
@@ -61,14 +60,13 @@ namespace transport {
 
 enum class TransportKind {
   kThreads,  ///< in-process thread rendezvous (default)
-  kShm,      ///< shared-memory rings; survives fork() into one process/device
   kTcp,      ///< framed TCP sockets; survives fork() and (in principle) hosts
 };
 
 [[nodiscard]] const char* to_string(TransportKind kind);
 
-/// Resolve VOCAB_TRANSPORT — "threads", "shm" or "tcp"; unset means threads,
-/// any other value throws CheckError (strict env parsing).
+/// Resolve VOCAB_TRANSPORT — "threads" or "tcp"; unset means threads, any
+/// other value throws CheckError (strict env parsing).
 [[nodiscard]] TransportKind transport_kind_from_env();
 
 /// Thrown by a blocking transport wait when the *transport itself* declared
@@ -95,8 +93,8 @@ struct TransportConfig {
   /// A rank silent this long is declared dead and the group aborts.
   /// VOCAB_HEARTBEAT_TIMEOUT_MS, default 1000.
   std::chrono::milliseconds heartbeat_timeout{1000};
-  /// Transient-failure retries (e.g. a full ring) before a send re-validates
-  /// peer liveness. VOCAB_RETRY_MAX, default 8.
+  /// Reconnect attempts a tcp link makes before its peer is declared dead.
+  /// VOCAB_RETRY_MAX, default 8.
   int retry_max = 8;
   /// Base delay of the exponential backoff between retries.
   /// VOCAB_RETRY_BACKOFF_MS, default 2.
@@ -205,7 +203,7 @@ class Transport {
       int world_size, std::chrono::milliseconds timeout) = 0;
 
   /// Milliseconds since `rank` last heartbeat, or -1 when the backend has no
-  /// liveness signal for it (threads backend; shm before the first stamp).
+  /// liveness signal for it (threads backend; tcp before the first stamp).
   [[nodiscard]] virtual long long heartbeat_age_ms(int rank) const {
     (void)rank;
     return -1;
@@ -218,9 +216,8 @@ class Transport {
 
 /// The process-wide transport selected by VOCAB_TRANSPORT, resolved on every
 /// call (tests toggle the variable between trainer constructions). Both
-/// backends are process-lifetime singletons; the shm singleton runs in
-/// in-process mode (each mailbox/collective owns a private shared-memory
-/// region), which exercises the ring/rendezvous machinery without fork().
+/// backends are process-lifetime singletons; the tcp singleton runs in
+/// in-process mode (loopback socket pairs, no fork()).
 [[nodiscard]] Transport& default_transport();
 
 }  // namespace transport

@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "analysis/verifier.h"
 #include "cost/cost_model.h"
@@ -18,6 +21,7 @@
 #include "schedule/schedule_gpipe.h"
 #include "schedule/schedule_interlaced.h"
 #include "schedule/schedule_vhalf.h"
+#include "schedule/schedule_zb.h"
 #include "sim/pipeline_sim.h"
 
 namespace vocab {
@@ -201,6 +205,76 @@ INSTANTIATE_TEST_SUITE_P(Sweep, VHalfSweep,
                                           testing::Values(std::int64_t{32768},
                                                           std::int64_t{262144})),
                          param_name);
+
+// ---- gradient accumulation order ----------------------------------------------------
+
+// Per device, every op that adds into one parameter gradient must issue in
+// strictly increasing microbatch order: the B and BW ops of one chunk (the
+// chunk's transformer weights), the T ops (the output-layer shard) and the
+// j ops (the input-layer shard). Float sums then accumulate in one order in
+// every flavour, which is what lets flavours of one algorithm agree bitwise;
+// a LIFO backward (as GPipe's once was) breaks it. Covers every generator
+// the trainer runs, at the trainer test suites' shape.
+void expect_gradients_in_microbatch_order(const PipelineSchedule& s) {
+  const auto producer = [](OpKind kind) {
+    return kind == OpKind::BackwardFull || kind == OpKind::BackwardWeight ||
+           kind == OpKind::OutputT || kind == OpKind::InputBwd;
+  };
+  int producers = 0;
+  for (const Op& op : s.ops) producers += producer(op.kind) ? 1 : 0;
+  int issued = 0;
+  for (int d = 0; d < s.num_devices; ++d) {
+    // (gradient, chunk) -> the microbatch of its last producer so far; B and
+    // BW feed the same transformer gradient.
+    std::map<std::pair<OpKind, int>, int> last;
+    for (const int id : s.devices[static_cast<std::size_t>(d)].compute) {
+      const Op& op = s.op(id);
+      if (!producer(op.kind)) continue;
+      ++issued;
+      const bool transformer = op.kind == OpKind::BackwardFull ||
+                               op.kind == OpKind::BackwardWeight;
+      const std::pair<OpKind, int> key{transformer ? OpKind::BackwardWeight : op.kind,
+                                       transformer ? op.chunk : 0};
+      const auto [it, first] = last.try_emplace(key, op.microbatch);
+      if (first) continue;
+      EXPECT_GT(op.microbatch, it->second)
+          << s.name << " m=" << s.num_microbatches << " device " << d << ": " << op.label
+          << " issues after microbatch " << it->second;
+      it->second = op.microbatch;
+    }
+  }
+  EXPECT_EQ(issued, producers) << s.name << ": a gradient producer is off the compute lanes";
+}
+
+TEST(GradientOrder, TrainerSchedulesAccumulateInMicrobatchOrder) {
+  for (const int p : {2, 4}) {
+    for (const int m : {p, 2 * p, 2 * p + 1}) {
+      ModelConfig mc;
+      mc.num_layers = 8;
+      mc.attention_heads = 2;
+      mc.hidden = 32;
+      mc.seq_len = 16;
+      mc.vocab = 53;
+      mc.microbatch = 1;
+      mc.num_microbatches = m;
+      const CostModel cm(mc, HardwareModel{});
+      std::vector<PipelineSchedule> schedules;
+      schedules.push_back(build_1f1b(cm, p, uniform_assignment(mc.num_layers, p)));
+      schedules.push_back(build_vhalf_vocab(cm, p));
+      for (const OutputAlgo algo : {OutputAlgo::Alg1, OutputAlgo::Alg2}) {
+        schedules.push_back(build_naive_vocab(cm, p, algo));
+        schedules.push_back(build_gpipe_vocab(cm, p, algo));
+        schedules.push_back(build_1f1b_vocab(cm, p, algo));
+        for (int w = 0; w <= 3; ++w) {
+          ZbOptions opts;
+          opts.w_delay = w;
+          schedules.push_back(build_zb_vocab(cm, p, algo, "", opts));
+        }
+      }
+      for (const PipelineSchedule& s : schedules) expect_gradients_in_microbatch_order(s);
+    }
+  }
+}
 
 // ---- cross-method orderings (the paper's qualitative table) -------------------------
 
